@@ -15,10 +15,12 @@ import sys
 
 from .carlitz import carlitz_action, euler_phi
 from .ffpoly import (
+    MAX_Q,
     DomainError,
     FqPoly,
     ParseError,
     factor,
+    factor_int,
     make_context,
     monic_polys,
     parse_element,
@@ -59,21 +61,16 @@ def context_from_field(text):
     m = _FIELD_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(f"--field must look like 3, 9 or 3^2, got {text!r}")
-    q = int(m.group(1)) ** int(m.group(2) or 1)
-    if q < 2:
+    base, exp = int(m.group(1)), int(m.group(2) or 1)
+    if base < 2 or exp < 1:
         raise ParseError(f"--field must be a prime power >= 2, got {text!r}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    deg = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        deg += 1
-    if rest != 1:
+    # the cap comes first, and a huge exponent fails it before the power is built
+    if exp >= MAX_Q.bit_length() or base ** exp > MAX_Q:
+        raise DomainError(f"q = {text.strip()} exceeds cap {MAX_Q}")
+    primes = factor_int(base ** exp)
+    if len(primes) != 1:
         raise ParseError(f"--field must be a prime power, got {text!r}")
+    ((p, deg),) = primes.items()
     return make_context(p, deg)
 
 
@@ -168,7 +165,7 @@ def _load_profile(path):
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read profile file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise DomainError(f"profile file is not valid JSON: {exc}") from exc
     return profile_from_dict(data)
 

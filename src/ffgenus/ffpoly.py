@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-import sympy
-
 MAX_Q = 1 << 16
 MAX_TOWER_DEG = 64
 MAX_POLY_DEG = 64
@@ -31,8 +29,30 @@ class ParseError(ValueError):
     """Malformed literal input."""
 
 
-def _prime_factors(n):
-    return sorted(sympy.factorint(n).keys())
+def factor_int(n):
+    """Prime factorization {prime: exponent} of n >= 1, primes ascending.
+
+    Trial division tries divisors up to 2^16 only, so a call takes at most
+    ~2^15 steps. The cofactor left then has no prime factor up to 2^16, so
+    it is a prime whenever it is below 65537^2 > 2^32: the result is exact
+    for q and q - 1 with q <= MAX_Q and for every degree. A larger cofactor
+    cannot be certified and raises DomainError.
+    """
+    if n < 1:
+        raise DomainError(f"cannot factor {n}: need a positive integer")
+    out = {}
+    rest, d = n, 2
+    while d * d <= rest:
+        if d > 1 << 16:
+            raise DomainError(
+                f"cannot factor {n}: cofactor {rest} has no prime factor up to 2^16")
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out
 
 
 class FqElem:
@@ -120,7 +140,7 @@ class FqElem:
         if self.is_zero():
             raise DomainError("zero has no multiplicative order")
         n = self.ctx.q - 1
-        for r in _prime_factors(n):
+        for r in factor_int(n):
             while n % r == 0 and (self ** (n // r)) == self.ctx.one():
                 n //= r
         return n
@@ -240,7 +260,7 @@ class FqContext:
     @property
     def generator(self):
         if self._generator is None:
-            primes = _prime_factors(self.q - 1) if self.q > 2 else []
+            primes = factor_int(self.q - 1)
             one = self.one()
             for i in range(1, self.q):
                 g = self.from_int(i)
@@ -308,10 +328,11 @@ def make_context(p, m):
         raise DomainError("p and m must be integers")
     if m < 1:
         raise DomainError("m must be at least 1")
-    if not sympy.isprime(p):
-        raise DomainError(f"{p} is not prime")
-    if p ** m > MAX_Q:
+    # the cap comes first, and a huge m fails it before p ** m is built
+    if m >= MAX_Q.bit_length() or p ** m > MAX_Q:
         raise DomainError(f"q = {p}^{m} exceeds cap {MAX_Q}")
+    if p < 2 or factor_int(p) != {p: 1}:
+        raise DomainError(f"{p} is not prime")
     key = (p, m)
     if key in _CTX_CACHE:
         return _CTX_CACHE[key]
@@ -523,7 +544,7 @@ def is_irreducible(f):
         return True
     ctx = f.ctx
     x = FqPoly.x(ctx)
-    need = {n // r for r in _prime_factors(n)}
+    need = {n // r for r in factor_int(n)}
     xp = x
     for d in range(1, n + 1):
         xp = powmod(xp, ctx.q, f)
@@ -767,6 +788,9 @@ class _PolyParser:
             kind, val = self.toks.next()
             if kind != "int":
                 raise ParseError("exponent must be an integer")
+            if atom.degree * val > MAX_POLY_DEG:
+                raise ParseError(
+                    f"degree {atom.degree * val} of a power exceeds cap {MAX_POLY_DEG}")
             atom = atom ** val
         return -atom if neg else atom
 

@@ -27,14 +27,14 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd, lcm, prod
 
-import sympy
-
 from .carlitz import subfield_FP
 from .ffpoly import (
+    MAX_Q,
     DomainError,
     FqElem,
     FqPoly,
     factor,
+    factor_int,
     is_eth_power,
     render_element,
     render_poly,
@@ -687,12 +687,13 @@ def prime_degree_case(q, l, t, K_in_Rplus):
     Such extensions are unramified at infinity and every component F_P has
     degree l; the genus field has degree l^{t-1} over K with t_0 = 1 when
     K lies in the totally-split-at-infinity cyclotomic tower, and degree
-    l^t with t_0 = l otherwise. Returns ([K_ge : K], t_0).
+    l^t with t_0 = l otherwise. Returns ([K_ge : K], t_0). Both q and l
+    are capped at MAX_Q.
     """
-    if len(sympy.primefactors(q)) != 1 or q < 2:
-        raise DomainError(f"q = {q} is not a prime power")
-    if not sympy.isprime(l):
-        raise DomainError(f"l = {l} must be prime")
+    if not 2 <= q <= MAX_Q or len(factor_int(q)) != 1:
+        raise DomainError(f"q = {q} is not a prime power up to {MAX_Q}")
+    if not 2 <= l <= MAX_Q or factor_int(l) != {l: 1}:
+        raise DomainError(f"l = {l} must be a prime up to {MAX_Q}")
     if q % l == 0 or (q - 1) % l == 0:
         raise DomainError(f"l = {l} must not divide q(q-1)")
     if not isinstance(t, int) or t < 1:
@@ -732,14 +733,13 @@ def prime_power_case(K):
     """Evaluate the closed-form formulas for prime-power Kummer degree."""
     if K.s != 1:
         raise DomainError("prime power analysis needs base constants s = 1")
-    ls = sympy.primefactors(K.n)
-    if len(ls) != 1:
-        raise DomainError(f"n = {K.n} is not a prime power")
-    l = ls[0]
-    nu = p_adic_val(l, K.n)
     q = K.ctx.q
     if (q - 1) % K.n != 0:
-        raise DomainError(f"need {l}^{nu} | q - 1")
+        raise DomainError(f"need n = {K.n} | q - 1")
+    ls = factor_int(K.n)
+    if len(ls) != 1:
+        raise DomainError(f"n = {K.n} is not a prime power")
+    ((l, nu),) = ls.items()
     fac = K.D_factors.factors
     if not fac:
         raise DomainError("D must have at least one prime factor")

@@ -17,14 +17,14 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-import sympy
-
 from .ffpoly import (
+    MAX_Q,
     DomainError,
     Factorization,
     FqElem,
     FqPoly,
     factor,
+    factor_int,
     is_eth_power,
 )
 
@@ -74,11 +74,21 @@ def radical_extension(ctx, n, gamma, D, s=1):
     if any(a >= n for a in alphas):
         raise DomainError("D must be n-th-power free (all exponents below n)")
     # X^n - a is irreducible iff a is no l-th power for primes l | n,
-    # and additionally a is outside -4 k^4 whenever 4 | n
-    for l in sympy.primefactors(n):
-        if all(a % l == 0 for a in alphas) and is_eth_power(gamma, l):
+    # and additionally a is outside -4 k^4 whenever 4 | n. gamma*D is an
+    # l-th power only if l divides common = gcd(n, alpha_1, ...), which is n
+    # itself when D = 1. For l | q - 1 that is one test on gamma; the part r
+    # of common prime to q - 1 makes every constant an r-th power. Only
+    # divisors of q - 1 get factored, however large n is.
+    common = reduce(gcd, alphas, n)
+    for l in factor_int(gcd(common, ctx.q - 1)):
+        if is_eth_power(gamma, l):
             raise DomainError(
                 f"X^{n} - gamma*D is reducible: gamma*D is an {l}-th power")
+    r = common
+    while (h := gcd(r, ctx.q - 1)) > 1:
+        r //= h
+    if r > 1:
+        raise DomainError(f"X^{n} - gamma*D is reducible: gamma*D is an {r}-th power")
     if n % 4 == 0 and all(a % 4 == 0 for a in alphas):
         minus_four = -(ctx.one() + ctx.one() + ctx.one() + ctx.one())
         if is_eth_power(gamma / minus_four, 4):
@@ -171,8 +181,7 @@ def _geometric_flag(K, alphas):
         return False
     if any(gcd(a, K.n) == 1 for a in alphas):
         return True
-    ln = sympy.primefactors(K.n)
-    if len(ln) == 1 and (K.ctx.q - 1) % K.n == 0:
+    if (K.ctx.q - 1) % K.n == 0 and len(factor_int(K.n)) == 1:
         return False  # prime-power Kummer case: coprime exponent is also necessary
     return None
 
@@ -201,25 +210,27 @@ def profile_from_dict(data):
     Expected shape:
       {"q": int, "finite": [{"deg": int, "e": [int, ...]}, ...],
        "infinity": [{"e": int, "t": int}, ...], "s": int?, "geometric": bool?}
-    Finite places where every exponent is 1 are dropped.
+    with q a prime power up to MAX_Q. Finite places where every exponent
+    is 1 are dropped. Any missing or non-integer field is a DomainError.
     """
     try:
         q = int(data["q"])
-        finite_in = list(data.get("finite", []))
-        infinity_in = list(data["infinity"])
-    except (KeyError, TypeError, ValueError) as exc:
+        s = int(data.get("s", 1))
+        finite_in = [(entry, int(entry["deg"]), tuple(int(e) for e in entry["e"]))
+                     for entry in data.get("finite", [])]
+        infinity_in = [(entry, int(entry["e"]), int(entry["t"])) for entry in data["infinity"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed profile: {exc}") from None
-    primes = sympy.primefactors(q)
-    if len(primes) != 1 or q < 2:
+    if q > MAX_Q:
+        raise DomainError(f"q = {q} exceeds cap {MAX_Q}")
+    primes = factor_int(q) if q >= 2 else {}
+    if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
-    p = primes[0]
-    s = int(data.get("s", 1))
+    (p,) = primes
     if s < 1:
         raise DomainError("s must be positive")
     finite = []
-    for entry in finite_in:
-        deg = int(entry["deg"])
-        e_list = tuple(int(e) for e in entry["e"])
+    for entry, deg, e_list in finite_in:
         if deg < 1 or not e_list or any(e < 1 for e in e_list):
             raise DomainError(f"bad finite place entry {entry!r}")
         if all(e == 1 for e in e_list):
@@ -228,8 +239,7 @@ def profile_from_dict(data):
         u = p_adic_val(p, e_P)
         finite.append(FinitePlace(deg, e_list, e_P, u, e_P // p ** u))
     infinity = []
-    for entry in infinity_in:
-        e, t = int(entry["e"]), int(entry["t"])
+    for entry, e, t in infinity_in:
         if e < 1 or t < 1:
             raise DomainError(f"bad infinite place entry {entry!r}")
         infinity.append((e, t))

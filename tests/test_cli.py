@@ -19,9 +19,9 @@ EX53 = ["genus", "--field", "3", "--n", "10", "--gamma", "-1",
 PHI = ["phi", "--field", "3", "--poly", "T^2"]
 
 
-def run_cli(argv):
+def run_cli(argv, timeout=120):
     return subprocess.run([sys.executable, "-m", "ffgenus.cli"] + argv,
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=timeout)
 
 
 def run_main(capsys, argv):
@@ -137,6 +137,10 @@ def test_profile_conflicts_and_errors(capsys, tmp_path):
     path.write_text("{not json")
     assert main(["genus", "--profile", str(path)]) == 1
     capsys.readouterr()
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"q": ' + "7" * 5000 + ', "infinity": [{"e": 1, "t": 1}]}')
+    assert main(["genus", "--profile", str(huge)]) == 1  # int() refuses 5000 digits
+    capsys.readouterr()
     assert main(["genus", "--profile", str(path), "--n", "2"]) == 2
     capsys.readouterr()
 
@@ -173,3 +177,58 @@ def test_byte_identical_runs_black_box():
 def test_json_byte_identical_black_box():
     argv = EX53 + ["--format", "json"]
     assert run_cli(argv).stdout == run_cli(argv).stdout
+
+
+BIG_N = ["genus", "--field", "5", "--n", "1000000000000000003", "--gamma", "2",
+         "--poly", "T*(T+1)"]
+
+
+def test_huge_prime_n_report_golden(capsys):
+    code, out = run_main(capsys, BIG_N)
+    assert code == 0
+    assert out == """\
+place T: e = 1000000000000000003, c = 1
+place T + 1: e = 1000000000000000003, c = 1
+infinity: e_inf = 1000000000000000003, c_inf = 1, c'_inf = 1 (divides 1)
+t0 = 1
+F0 = k
+F  = k
+lower: k((2*(T^2 + T))^(1/1000000000000000003))
+upper: k((2*(T^2 + T))^(1/1000000000000000003))
+EXACT [F_equals_F0]: K_ge = k((2*(T^2 + T))^(1/1000000000000000003))
+"""
+
+
+def test_import_leaves_sympy_unloaded():
+    code = "import sys, ffgenus, ffgenus.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["phi", "--field", "1000000000000000000000007", "--poly", "T"], 1),
+    (["phi", "--field", "2^9999999", "--poly", "T"], 1),
+    (["phi", "--field", "65537", "--poly", "T"], 1),
+    (["phi", "--field", "6", "--poly", "T"], 2),
+    (["factor", "--field", "3", "--poly", "T^99999999999"], 2),
+])
+def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
+    proc = run_cli(argv, timeout=5)
+    assert proc.returncode == code
+    err = proc.stderr.decode()
+    assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("profile", [
+    {"q": 3, "finite": [{"e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "s": "x", "finite": [{"deg": 2, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 1000000007, "infinity": [{"e": 1, "t": 1}]},
+])
+def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    proc = run_cli(["genus", "--profile", str(path)], timeout=5)
+    assert proc.returncode == 1
+    err = proc.stderr.decode()
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert proc.stdout == b""

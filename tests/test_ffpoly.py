@@ -1,16 +1,19 @@
 """Base field and polynomial arithmetic: fixed values plus brute-force invariants."""
 
 import random
+import time
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from ffgenus.ffpoly import (
+    MAX_Q,
     DomainError,
     FqPoly,
     ParseError,
     factor,
+    factor_int,
     is_eth_power,
     is_irreducible,
     make_context,
@@ -60,6 +63,40 @@ def test_make_context_rejects_bad_input():
         make_context(3, 0)
     with pytest.raises(DomainError):
         make_context(2, 17)  # 2^17 over the q cap
+    # the cap is checked before any power is taken or any prime tested
+    for p, m in [(2, 10 ** 9), (10 ** 30 + 57, 1), (1, 1), (0, 1), (-3, 1)]:
+        with pytest.raises(DomainError):
+            make_context(p, m)
+
+
+def test_factor_int_matches_sympy_up_to_2_16():
+    for n in range(1, MAX_Q + 1):
+        got = factor_int(n)
+        assert got == sympy.factorint(n), n
+        assert list(got) == sorted(got)
+
+
+def test_factor_int_on_tower_orders():
+    # q - 1 of every extension tower the suite and the benchmark build;
+    # F_{17^4} and F_{3^16} lie above MAX_Q
+    for q in [9, 25, 27, 81, 121, 169, 343, 625, 2197, 6561, 28561, 17 ** 4, 3 ** 16]:
+        assert factor_int(q - 1) == sympy.factorint(q - 1), q
+
+
+def test_factor_int_large_values():
+    # a cofactor without small primes is certified prime below 65537^2
+    assert factor_int(4294967291) == {4294967291: 1}  # largest prime below 2^32
+    assert factor_int(3 * 4294967291) == {3: 1, 4294967291: 1}
+    assert factor_int(2 ** 100) == {2: 100}
+    # above that the remainder cannot be certified: refuse, in bounded time
+    for n in (65537 * 65539, 2 ** 61 - 1, 3 * (2 ** 89 - 1), 10 ** 30 + 57):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            factor_int(n)
+        assert time.perf_counter() - start < 1.0
+    for bad in (0, -7):
+        with pytest.raises(DomainError):
+            factor_int(bad)
 
 
 def test_context_is_cached():
@@ -331,6 +368,22 @@ def test_parse_errors():
         parse_poly(ctx, "g")  # no generator literal in a prime field
     with pytest.raises(ParseError):
         parse_element(ctx, "T^2")
+
+
+def test_parse_caps_power_degree_before_expanding():
+    ctx = make_context(3, 1)
+    start = time.perf_counter()
+    for bad in ["T^99999999999", "T^65", "(T^2+1)^33", "(T^8)^9"]:
+        with pytest.raises(ParseError):
+            parse_poly(ctx, bad)
+    assert time.perf_counter() - start < 1.0
+    assert parse_poly(ctx, "T^64").degree == 64
+    assert parse_poly(ctx, "(T^2+1)^32").degree == 64
+    assert parse_poly(ctx, "2^100") == FqPoly.const(ctx, ctx.from_int(pow(2, 100, 3)))
+    ext = make_context(5, 2)
+    for k in range(ext.q - 1):
+        assert parse_element(ext, f"g^{k}") == ext.generator ** k
+    assert parse_element(ext, "g^99999999999") == ext.generator ** 99999999999
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 2)])

@@ -448,7 +448,8 @@ def test_prime_degree_case_table():
 
 def test_prime_degree_case_rejections():
     for args in [(3, 7, 0, True), (3, 3, 2, True), (3, 2, 2, True),
-                 (6, 7, 2, True), (11, 5, 2, True), (3, 4, 2, True)]:
+                 (6, 7, 2, True), (11, 5, 2, True), (3, 4, 2, True),
+                 (2 ** 17, 7, 2, True), (3, 65537, 2, True), (3, 2 ** 61 - 1, 2, True)]:
         with pytest.raises(DomainError):
             prime_degree_case(*args)
 

@@ -5,8 +5,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
-from ffgenus.ffpoly import DomainError, FqPoly, make_context, parse_poly
+from ffgenus.ffpoly import (
+    DomainError,
+    FqPoly,
+    factor,
+    is_eth_power,
+    make_context,
+    parse_poly,
+)
 from ffgenus.ramify import (
     abhyankar_lcm,
     build_profile,
@@ -56,6 +64,51 @@ def test_rejects_reducible_radicand():
         K_of(7, 1, 4, 3, "1")
     with pytest.raises(DomainError):
         K_of(7, 1, 8, 3, "T^4")
+
+
+def _reducible_by_prime_rule(ctx, n, gamma, alphas):
+    """The irreducibility rule run over every prime of n (sympy reference)."""
+    for l in sympy.primefactors(n):
+        if all(a % l == 0 for a in alphas) and is_eth_power(gamma, l):
+            return True
+    if n % 4 == 0 and all(a % 4 == 0 for a in alphas):
+        minus_four = -(ctx.one() + ctx.one() + ctx.one() + ctx.one())
+        return is_eth_power(gamma / minus_four, 4)
+    return False
+
+
+def test_reducibility_matches_rule_over_all_primes_of_n():
+    texts = ["1", "T", "T^2", "T^3*(T+1)^3", "T^4", "T^2*(T+1)^4", "T^6", "T^12"]
+    for p, m in [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1)]:
+        ctx = make_context(p, m)
+        for n in list(range(1, 25)) + [35, 36, 40]:
+            if n % p == 0:
+                continue
+            for text in texts:
+                D = parse_poly(ctx, text)
+                alphas = [mult for _, mult in factor(D).factors]
+                if any(a >= n for a in alphas):
+                    continue
+                for gamma in list(ctx.elements())[1:]:
+                    expected = _reducible_by_prime_rule(ctx, n, gamma, alphas)
+                    try:
+                        radical_extension(ctx, n, gamma, D)
+                        got = False
+                    except DomainError:
+                        got = True
+                    assert got == expected, (ctx.q, n, text, gamma)
+
+
+def test_radical_extension_with_huge_n_factors_only_small_values():
+    ctx = make_context(5, 1)
+    n = 10 ** 18 + 3  # prime; sympy would factor it, the gcds never do
+    K = radical_extension(ctx, n, ctx.from_int(2), parse_poly(ctx, "T*(T+1)"))
+    assert build_profile(K).geometric is True
+    # D = 1: n has primes outside q - 1 = 4, so every constant is an n-th power
+    with pytest.raises(DomainError, match="reducible"):
+        radical_extension(ctx, n, ctx.from_int(2), parse_poly(ctx, "1"))
+    with pytest.raises(DomainError, match="reducible"):
+        radical_extension(ctx, 4 * n, ctx.from_int(4), parse_poly(ctx, "T^2"))
 
 
 def test_accepts_paper_instances():
@@ -220,6 +273,25 @@ def test_profile_from_dict_rejects_garbage():
         profile_from_dict({"q": 3})
     with pytest.raises(DomainError):
         profile_from_dict({"q": 3, "finite": [{"deg": 0, "e": [2]}], "infinity": [{"e": 1, "t": 1}]})
+
+
+@pytest.mark.parametrize("data", [
+    {"q": 3, "finite": [{"e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "s": "x", "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "finite": [{"deg": 1, "e": ["two"]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "finite": [{"deg": 1}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "finite": [7], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 3, "infinity": [{"e": 1}]},
+    {"q": 3, "infinity": [{"e": float("inf"), "t": 1}]},
+    {"q": 3, "finite": None, "infinity": [{"e": 1, "t": 1}]},
+    {"q": 2 ** 17, "infinity": [{"e": 1, "t": 1}]},
+    {"q": 10 ** 30 + 57, "infinity": [{"e": 1, "t": 1}]},
+    {"q": 1, "infinity": [{"e": 1, "t": 1}]},
+    [1, 2],
+])
+def test_profile_from_dict_rejects_malformed_fields(data):
+    with pytest.raises(DomainError):
+        profile_from_dict(data)
 
 
 # -- composition and polygons --
