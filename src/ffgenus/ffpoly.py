@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -56,52 +57,174 @@ def factor_int(n):
 
 
 class FqElem:
-    """Element of an FqContext: coefficient vector over the base scalars.
+    """Element of a flat context: its canonical index, one int 0 <= v < q.
 
-    Scalars are integers 0..p-1 for a flat context and base-field
-    elements for a tower context. Instances are immutable.
+    The index lists the coefficients of the element over F_p in base p,
+    lowest degree first (the `from_int` order), so `to_int` is the
+    identity. Products, quotients, inverses and powers are index
+    arithmetic on the context's exp/log tables; sums use a Zech-logarithm
+    table. Fields of characteristic 2 add by XOR (`_BinaryElem`), prime
+    fields add and multiply mod p (`_PrimeElem`), and tower contexts keep
+    coefficient vectors (`_TowerElem`). Instances are immutable.
     """
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("ctx", "v")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, v):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
-        self._hash = None
+        self.v = v
 
     def __eq__(self, other):
         if not isinstance(other, FqElem):
             return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.v == other.v
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.ctx), self.coeffs))
-        return self._hash
+        return hash(self.v)
+
+    # exp has length q - 1: a table index in (-(q-1), 0) wraps around to
+    # the same power of the generator, which saves a `% (q - 1)`
+
+    def __add__(self, other):
+        a, b = self.v, other.v
+        if not a:
+            return other
+        if not b:
+            return self
+        c = self.ctx
+        la = c._log[a]
+        z = c._zech[c._log[b] - la]
+        return self.__class__(c, c._exp[la + z - c._n] if z >= 0 else 0)
+
+    def __sub__(self, other):
+        a, b = self.v, other.v
+        if not b:
+            return self
+        if not a:
+            return -other
+        c = self.ctx
+        la = c._log[a]
+        # -1 = g^((q-1)/2), so log(-b) = log(b) + (q-1)/2
+        z = c._zech[(c._log[b] + c._n // 2 - la) % c._n]
+        return self.__class__(c, c._exp[la + z - c._n] if z >= 0 else 0)
+
+    def __neg__(self):
+        a = self.v
+        if not a:
+            return self
+        c = self.ctx
+        return self.__class__(c, c._exp[c._log[a] + c._n // 2 - c._n])
+
+    def __mul__(self, other):
+        a, b = self.v, other.v
+        if not a:
+            return self
+        if not b:
+            return other
+        c = self.ctx
+        log = c._log
+        return self.__class__(c, c._exp[log[a] + log[b] - c._n])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, e):
+        a = self.v
+        if not a:
+            if e > 0:
+                return self
+            if e == 0:
+                return self.ctx.one()
+            raise DomainError("zero has no inverse")
+        c = self.ctx
+        return self.__class__(c, c._exp[c._log[a] * e % c._n])
+
+    def inverse(self):
+        return self ** -1
+
+    def is_zero(self):
+        return not self.v
+
+    def to_int(self):
+        return self.ctx.elem_to_int(self)
+
+    def multiplicative_order(self):
+        if self.is_zero():
+            raise DomainError("zero has no multiplicative order")
+        n = self.ctx._n
+        return n // gcd(self.ctx._log[self.v], n)
+
+    def __repr__(self):
+        return f"FqElem({self.ctx!r}, {render_element(self)!r})"
+
+
+class _BinaryElem(FqElem):
+    """Element of a flat context of characteristic 2: sums are XOR."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _BinaryElem(self.ctx, self.v ^ other.v)
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+
+class _PrimeElem(FqElem):
+    """Element of a prime field F_p, p odd: the index is the residue."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         c = self.ctx
-        return FqElem(c, tuple(c._s_add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return _PrimeElem(c, (self.v + other.v) % c.p)
 
     def __sub__(self, other):
         c = self.ctx
-        return FqElem(c, tuple(c._s_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return _PrimeElem(c, (self.v - other.v) % c.p)
 
     def __neg__(self):
         c = self.ctx
-        return FqElem(c, tuple(c._s_neg(a) for a in self.coeffs))
+        return _PrimeElem(c, -self.v % c.p)
 
     def __mul__(self, other):
         c = self.ctx
-        if c.m == 1:
-            return FqElem(c, (c._s_mul(self.coeffs[0], other.coeffs[0]),))
-        raw = [c._s_zero()] * (2 * c.m - 1)
-        for i, a in enumerate(self.coeffs):
-            if c._s_is_zero(a):
+        return _PrimeElem(c, self.v * other.v % c.p)
+
+
+class _TowerElem(FqElem):
+    """Element of a tower context: coefficient tuple over the base context."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _TowerElem(self.ctx, tuple(a + b for a, b in zip(self.v, other.v)))
+
+    def __sub__(self, other):
+        return _TowerElem(self.ctx, tuple(a - b for a, b in zip(self.v, other.v)))
+
+    def __neg__(self):
+        return _TowerElem(self.ctx, tuple(-a for a in self.v))
+
+    def __mul__(self, other):
+        c = self.ctx
+        m, mod = c.m, c.modulus
+        raw = [c.base.zero()] * (2 * m - 1)
+        for i, a in enumerate(self.v):
+            if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                raw[i + j] = c._s_add(raw[i + j], c._s_mul(a, b))
-        return FqElem(c, c._reduce_vec(raw))
+            for j, b in enumerate(other.v):
+                raw[i + j] = raw[i + j] + a * b
+        # reduce by the monic modulus X^m + sum(mod[j] X^j), top degree first
+        for i in range(2 * m - 2, m - 1, -1):
+            lead = raw[i]
+            if lead.is_zero():
+                continue
+            for j in range(m):
+                raw[i - m + j] = raw[i - m + j] - lead * mod[j]
+        return _TowerElem(c, tuple(raw[:m]))
 
     def __pow__(self, e):
         c = self.ctx
@@ -121,20 +244,8 @@ class FqElem:
             e >>= 1
         return result
 
-    def inverse(self):
-        if self.is_zero():
-            raise DomainError("zero has no inverse")
-        return self ** (self.ctx.q - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def is_zero(self):
-        c = self.ctx
-        return all(c._s_is_zero(a) for a in self.coeffs)
-
-    def to_int(self):
-        return self.ctx.elem_to_int(self)
+        return all(a.is_zero() for a in self.v)
 
     def multiplicative_order(self):
         if self.is_zero():
@@ -145,8 +256,87 @@ class FqElem:
                 n //= r
         return n
 
-    def __repr__(self):
-        return f"FqElem({self.ctx!r}, {render_element(self)!r})"
+
+def _digits(i, p, m):
+    """The m base-p digits of i, lowest first."""
+    out = []
+    for _ in range(m):
+        i, d = divmod(i, p)
+        out.append(d)
+    return out
+
+
+def _mulmod_digits(a, b, p, mod):
+    """a*b for digit lists over F_p, reduced by X^m + sum(mod[j] X^j).
+
+    Horner over the digits of b, so the cost is m per digit of b.
+    """
+    out = [0] * len(mod)
+    for bj in reversed(b):
+        top = out.pop()
+        out.insert(0, 0)
+        if top:
+            out = [(o - top * t) % p for o, t in zip(out, mod)]
+        if bj:
+            out = [(o + bj * x) % p for o, x in zip(out, a)]
+    return out
+
+
+def _flat_tables(p, m, modulus):
+    """Generator index and the exp/log/Zech tables of F_{p^m} over `modulus`.
+
+    The generator is the smallest index of multiplicative order q - 1.
+    exp[k] is the index of g^k for 0 <= k < q - 1 and log inverts it
+    (log[0] is unused). For odd p and m > 1, zech[k] = log(1 + g^k), or
+    -1 where 1 + g^k = 0. Tables are arrays of machine ints, so q = 2^16
+    costs a few hundred KB.
+    """
+    q = p ** m
+    n = q - 1
+    one = _digits(1, p, m)
+    primes = list(factor_int(n))
+
+    def power(a, e):
+        out = one
+        for bit in bin(e)[2:]:
+            out = _mulmod_digits(out, out, p, modulus)
+            if bit == "1":
+                out = _mulmod_digits(out, a, p, modulus)
+        return out
+
+    for gen in range(1, q):
+        gd = _digits(gen, p, m)
+        if all(power(gd, n // r) != one for r in primes):
+            break
+    exp = array("H", [0]) * n
+    if m == 1:
+        x = 1
+        for k in range(n):
+            exp[k] = x
+            x = x * gen % p
+    else:
+        while not gd[-1]:
+            gd.pop()
+        x = one
+        for k in range(n):
+            v = 0
+            for d in reversed(x):
+                v = v * p + d
+            exp[k] = v
+            x = _mulmod_digits(x, gd, p, modulus)
+    log = array("H", [0]) * q
+    for k, v in enumerate(exp):
+        log[v] = k
+    if log[1] != 0:  # g^k = 1 for some 0 < k < q - 1: the tables would be wrong
+        raise AssertionError(f"element {gen} does not generate F_{q}*")
+    zech = None
+    if p > 2 and m > 1:
+        zech = array("i", [0]) * n
+        for k, v in enumerate(exp):
+            # 1 + g^k: add one to the constant digit
+            w = v - v % p + (v + 1) % p
+            zech[k] = log[w] if w else -1
+    return gen, exp, log, zech
 
 
 class FqContext:
@@ -156,7 +346,9 @@ class FqContext:
     its degree over the coefficient field (coefficient tuples compared
     as integer tuples, low degree first) and the generator is the
     smallest element of full multiplicative order, so two contexts with
-    the same parameters behave identically.
+    the same parameters behave identically. A flat context (base None)
+    builds its generator and exp/log tables on construction; a tower
+    finds its generator on first use.
     """
 
     def __init__(self, p, m, base, modulus):
@@ -167,91 +359,57 @@ class FqContext:
         self.q = p ** self.mtot
         self.qbase = p ** (base.mtot if base is not None else 1)
         self.modulus = modulus
+        self._n = self.q - 1
         self._generator = None
         self._ext_cache = {}
-        self._dlog_table = None
-
-    # -- scalar ring: ints mod p (flat) or base elements (tower) --
-
-    def _s_zero(self):
-        return 0 if self.base is None else self.base.zero()
-
-    def _s_one(self):
-        return 1 if self.base is None else self.base.one()
-
-    def _s_add(self, a, b):
-        return (a + b) % self.p if self.base is None else a + b
-
-    def _s_sub(self, a, b):
-        return (a - b) % self.p if self.base is None else a - b
-
-    def _s_neg(self, a):
-        return (-a) % self.p if self.base is None else -a
-
-    def _s_mul(self, a, b):
-        return (a * b) % self.p if self.base is None else a * b
-
-    def _s_inv(self, a):
-        return pow(a, self.p - 2, self.p) if self.base is None else a.inverse()
-
-    def _s_is_zero(self, a):
-        return a == 0 if self.base is None else a.is_zero()
-
-    def _s_from_int(self, i):
-        return i if self.base is None else self.base.from_int(i)
-
-    def _s_to_int(self, a):
-        return a if self.base is None else self.base.elem_to_int(a)
-
-    def _reduce_vec(self, raw):
-        """Reduce a raw coefficient list mod the modulus, in place."""
-        mod = self.modulus
-        m = self.m
-        for i in range(len(raw) - 1, m - 1, -1):
-            lead = raw[i]
-            if self._s_is_zero(lead):
-                continue
-            raw[i] = self._s_zero()
-            for j in range(m):
-                raw[i - m + j] = self._s_sub(raw[i - m + j], self._s_mul(lead, mod[j]))
-        return tuple(raw[:m])
+        if base is None:
+            self._cls = _BinaryElem if p == 2 else _PrimeElem if m == 1 else FqElem
+            gen, self._exp, self._log, self._zech = _flat_tables(p, m, modulus)
+            self._generator = self._cls(self, gen)
 
     # -- element constructors --
 
     def zero(self):
-        return FqElem(self, (self._s_zero(),) * self.m)
+        return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, i):
         """The i-th element in canonical order, 0 <= i < q."""
+        if self.base is None:
+            return self._cls(self, i % self.q)
         qb = self.qbase
         coeffs = []
         for _ in range(self.m):
-            coeffs.append(self._s_from_int(i % qb))
+            coeffs.append(self.base.from_int(i % qb))
             i //= qb
-        return FqElem(self, tuple(coeffs))
+        return _TowerElem(self, tuple(coeffs))
 
     def elem_to_int(self, a):
+        if self.base is None:
+            return a.v
         i = 0
-        for c in reversed(a.coeffs):
-            i = i * self.qbase + self._s_to_int(c)
+        for c in reversed(a.v):
+            i = i * self.qbase + self.base.elem_to_int(c)
         return i
 
     def elem(self, int_coeffs):
         """Element from a coefficient vector of integers (low degree first)."""
         if len(int_coeffs) > self.m:
             raise ParseError("coefficient vector longer than the field degree")
-        coeffs = [self._s_from_int(c % self.qbase) for c in int_coeffs]
-        coeffs += [self._s_zero()] * (self.m - len(coeffs))
-        return FqElem(self, tuple(coeffs))
+        qb = self.qbase
+        digits = [c % qb for c in int_coeffs] + [0] * (self.m - len(int_coeffs))
+        i = 0
+        for d in reversed(digits):
+            i = i * qb + d
+        return self.from_int(i)
 
     def lift(self, a):
         """Embed an element of the base context (a tower constant)."""
         if self.base is None or a.ctx is not self.base:
             raise DomainError("lift requires an element of the base context")
-        return FqElem(self, (a,) + (self.base.zero(),) * (self.m - 1))
+        return _TowerElem(self, (a,) + (self.base.zero(),) * (self.m - 1))
 
     def elements(self):
         for i in range(self.q):
@@ -295,18 +453,21 @@ class FqContext:
         return ctx
 
     def dlog(self, a):
-        """Discrete log of a nonzero element base the context generator."""
+        """Discrete log of a nonzero element base the context generator.
+
+        A table lookup in a flat context; a tower walks the powers of its
+        generator, which takes up to q - 1 products.
+        """
         if a.is_zero():
             raise DomainError("dlog of zero")
-        if self._dlog_table is None:
-            table = {}
-            g = self.generator
-            x = self.one()
-            for i in range(self.q - 1):
-                table[x] = i
-                x = x * g
-            self._dlog_table = table
-        return self._dlog_table[a]
+        if self.base is None:
+            return self._log[a.v]
+        g, x = self.generator, self.one()
+        for k in range(self.q - 1):
+            if x == a:
+                return k
+            x = x * g
+        raise AssertionError("unreachable: the generator spans F_q*")
 
     def __repr__(self):
         if self.base is None:
@@ -341,13 +502,13 @@ def make_context(p, m):
     else:
         base = make_context(p, 1)
         modulus = None
-        for tail in itertools.product(range(p), repeat=m):
+        # candidates with constant term 0 are divisible by X: skip them
+        for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
             cand = FqPoly.from_ints(base, list(tail) + [1])
             if is_irreducible(cand):
                 modulus = tail
                 break
         ctx = FqContext(p, m, None, modulus)
-    ctx.generator  # force deterministic eager computation
     _CTX_CACHE[key] = ctx
     return ctx
 
@@ -727,7 +888,11 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
-                self.toks.append(("int", int(text[i:j])))
+                try:
+                    val = int(text[i:j])
+                except ValueError:  # over the interpreter's digit limit, or a digit like '²'
+                    raise ParseError(f"bad integer literal at position {i}") from None
+                self.toks.append(("int", val))
                 i = j
             elif ch.isalpha():
                 self.toks.append(("name", ch))

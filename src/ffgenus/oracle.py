@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 from .carlitz import carlitz_action
@@ -100,18 +100,6 @@ def unit_count(M, config=None):
     return count
 
 
-# cached powers rho_N(X)^(q^j) and actions rho_M, keyed by context and inputs
-_POW_CACHE = {}
-_RHO_CACHE = {}
-
-
-def _rho(f):
-    key = (id(f.ctx), f.sort_key())
-    if key not in _RHO_CACHE:
-        _RHO_CACHE[key] = carlitz_action(f)
-    return _RHO_CACHE[key]
-
-
 def _xdict(rho):
     q = rho.ctx.q
     return {q ** j: c for j, c in enumerate(rho.coeffs) if not c.is_zero()}
@@ -139,19 +127,14 @@ def _xdict_pow(a, e):
     return result
 
 
-def _cached_qpow(N, gx, j):
-    """gx^(q^j) as j successive generic q-th powers, cached along the chain.
+@lru_cache(maxsize=128)
+def _qpow_chain(N):
+    """[rho_N(X)^(q^j) for j = 0, 1, ...], which carlitz_compose_check extends.
 
-    Grouping the exponent this way keeps intermediates small (each exact
-    q-th power collapses numerically in characteristic p) without assuming
-    any Frobenius identity: every step is plain repeated multiplication.
+    Sweeps pair each N with many M, so the chains of the last 128
+    multipliers are kept; a bound, since every distinct N adds one.
     """
-    if j == 0:
-        return gx
-    key = (id(N.ctx), N.sort_key(), j)
-    if key not in _POW_CACHE:
-        _POW_CACHE[key] = _xdict_pow(_cached_qpow(N, gx, j - 1), N.ctx.q)
-    return _POW_CACHE[key]
+    return [_xdict(carlitz_action(N))]
 
 
 def _xdict_sum(a, b):
@@ -176,22 +159,44 @@ def carlitz_compose_check(M, N, config=None):
             raise DomainError("multipliers must be nonzero")
         if f.degree > min(2, cfg.max_deg) or f.ctx.q > cfg.max_q:
             raise DomainError("multiplier outside the composition oracle caps")
-    rho_m, rho_n = _rho(M), _rho(N)
-    gx = _xdict(rho_n)
+    q = M.ctx.q
+    rho_m, chain = _qpow_chain(M)[0], _qpow_chain(N)
     composed = {}
-    for j, a in enumerate(rho_m.coeffs):
-        if a.is_zero():
+    for j in range(M.degree + 1):  # the tau-degree of rho_M
+        # rho_N(X)^(q^j) as j successive generic q-th powers: grouping the
+        # exponent this way keeps intermediates small (each exact q-th power
+        # collapses numerically in characteristic p) without assuming any
+        # Frobenius identity, since every step is plain repeated multiplication
+        if len(chain) == j:
+            chain.append(_xdict_pow(chain[-1], q))
+        a = rho_m.get(q ** j)
+        if a is None:
             continue
-        for e, c in _cached_qpow(N, gx, j).items():
+        for e, c in chain[j].items():
             prev = composed.get(e)
             term = a * c
             composed[e] = term if prev is None else prev + term
     composed = {e: c for e, c in composed.items() if not c.is_zero()}
-    if composed != _xdict(_rho(M * N)):
+    if composed != _xdict(carlitz_action(M * N)):
         return False
     total = M + N
-    lhs = {} if total.is_zero() else _xdict(_rho(total))
-    return lhs == _xdict_sum(_xdict(rho_m), _xdict(rho_n))
+    lhs = {} if total.is_zero() else _xdict(carlitz_action(total))
+    return lhs == _xdict_sum(rho_m, chain[0])
+
+
+def root_field_degree(gamma, d):
+    """Least b such that F_{q^b} holds every d-th root of gamma (p prime to d).
+
+    That is the order of q modulo d * ord(gamma), which is prime to q.
+    """
+    q = gamma.ctx.q
+    target = d * gamma.multiplicative_order()
+    b, qb = 1, q % target
+    while qb != 1 % target:
+        b += 1
+        qb = (qb * q) % target
+        assert b <= target
+    return b
 
 
 def t0_root_degrees(gamma, d, config=None):
@@ -211,12 +216,7 @@ def t0_root_degrees(gamma, d, config=None):
         raise DomainError("d must be prime to the characteristic")
     if ctx.q > cfg.max_q:
         raise DomainError(f"field size {ctx.q} exceeds oracle cap {cfg.max_q}")
-    target = d * gamma.multiplicative_order()
-    b, qb = 1, ctx.q % target
-    while qb != 1 % target:
-        b += 1
-        qb = (qb * ctx.q) % target
-        assert b <= target
+    b = root_field_degree(gamma, d)
     if ctx.q ** b > MAX_ENUM:
         raise DomainError(f"splitting field F_{ctx.q}^{b} exceeds the enumeration cap")
     ext = ctx.extension(b)

@@ -18,7 +18,9 @@ from functools import reduce
 from math import gcd, lcm
 
 from .ffpoly import (
+    MAX_POLY_DEG,
     MAX_Q,
+    MAX_TOWER_DEG,
     DomainError,
     Factorization,
     FqElem,
@@ -210,8 +212,10 @@ def profile_from_dict(data):
     Expected shape:
       {"q": int, "finite": [{"deg": int, "e": [int, ...]}, ...],
        "infinity": [{"e": int, "t": int}, ...], "s": int?, "geometric": bool?}
-    with q a prime power up to MAX_Q. Finite places where every exponent
-    is 1 are dropped. Any missing or non-integer field is a DomainError.
+    with q a prime power up to MAX_Q, place degrees deg and t up to
+    MAX_POLY_DEG and s up to MAX_TOWER_DEG. Finite places where every
+    exponent is 1 are dropped. Any missing, non-integer or out-of-range
+    field is a DomainError.
     """
     try:
         q = int(data["q"])
@@ -227,11 +231,11 @@ def profile_from_dict(data):
     if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
     (p,) = primes
-    if s < 1:
-        raise DomainError("s must be positive")
+    if not 1 <= s <= MAX_TOWER_DEG:
+        raise DomainError(f"s = {s} outside [1, {MAX_TOWER_DEG}]")
     finite = []
     for entry, deg, e_list in finite_in:
-        if deg < 1 or not e_list or any(e < 1 for e in e_list):
+        if not 1 <= deg <= MAX_POLY_DEG or not e_list or any(e < 1 for e in e_list):
             raise DomainError(f"bad finite place entry {entry!r}")
         if all(e == 1 for e in e_list):
             continue
@@ -240,7 +244,7 @@ def profile_from_dict(data):
         finite.append(FinitePlace(deg, e_list, e_P, u, e_P // p ** u))
     infinity = []
     for entry, e, t in infinity_in:
-        if e < 1 or t < 1:
+        if e < 1 or not 1 <= t <= MAX_POLY_DEG:
             raise DomainError(f"bad infinite place entry {entry!r}")
         infinity.append((e, t))
     if not infinity:

@@ -7,6 +7,7 @@ content checks run in-process for speed.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,9 @@ def test_import_leaves_sympy_unloaded():
     (["phi", "--field", "65537", "--poly", "T"], 1),
     (["phi", "--field", "6", "--poly", "T"], 2),
     (["factor", "--field", "3", "--poly", "T^99999999999"], 2),
+    # integer literals longer than int() converts
+    (["phi", "--field", "7" * 5000, "--poly", "T"], 2),
+    (["factor", "--field", "3", "--poly", "T+" + "7" * 5000], 2),
 ])
 def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
     proc = run_cli(argv, timeout=5)
@@ -223,6 +227,10 @@ def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
     {"q": 3, "finite": [{"e": [2]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 3, "s": "x", "finite": [{"deg": 2, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 1000000007, "infinity": [{"e": 1, "t": 1}]},
+    # degrees far above MAX_POLY_DEG would build q ** deg
+    {"q": 9, "finite": [{"deg": 1000000000, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1000000000}]},
+    {"q": 9, "s": 1000000000, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1}]},
 ])
 def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
     path = tmp_path / "profile.json"
@@ -232,3 +240,31 @@ def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
     err = proc.stderr.decode()
     assert err.count("error:") == 1 and err.count("\n") == 1
     assert proc.stdout == b""
+
+
+GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
+
+
+def _golden_id(case):
+    argv = case["argv"]
+    return f"{argv[0]}-{argv[2]}" + ("-json" if "json" in argv else "")
+
+
+@pytest.mark.parametrize("case", GOLDENS, ids=_golden_id)
+def test_cli_golden_output(capsys, case):
+    """factor/phi/carlitz/analyze/genus over q = 3 .. 2^12 and oracle-verify
+    over q <= 25, captured before the integer element kernel: stdout must
+    match byte for byte."""
+    code, out = run_main(capsys, case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("field", ["16", "27", "32", "49"])
+def test_oracle_verify_large_fields_end_in_time(field):
+    # their t0 splitting fields (up to F_32^4) exceed the enumeration budget
+    proc = run_cli(["oracle-verify", "--field", field, "--format", "json"], timeout=60)
+    assert proc.returncode == 0
+    checks = {c["name"]: c["ok"] for c in json.loads(proc.stdout)["checks"]}
+    assert checks == {"naive_factor vs factor": True, "unit_count vs euler_phi": None,
+                      "carlitz composition laws": True,
+                      "t0_root_degrees vs t0_radical": None}

@@ -1,12 +1,15 @@
 """Base field and polynomial arithmetic: fixed values plus brute-force invariants."""
 
+import itertools
 import random
+import sys
 import time
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from ffgenus import ffpoly
 from ffgenus.ffpoly import (
     MAX_Q,
     DomainError,
@@ -97,6 +100,153 @@ def test_factor_int_large_values():
     for bad in (0, -7):
         with pytest.raises(DomainError):
             factor_int(bad)
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        f = factor_int(q)
+        if len(f) == 1:
+            out.extend(f.items())
+    return out
+
+
+def test_modulus_is_first_irreducible_in_full_order():
+    # the search skips candidates with constant term 0; the reference walks
+    # every monic candidate in lexicographic order, X-divisible ones included
+    X = sympy.symbols("X")
+    for p, m in _prime_powers(1 << 12):
+        if m == 1:
+            continue
+        for tail in itertools.product(range(p), repeat=m):
+            if sympy.Poly([1] + list(reversed(tail)), X, modulus=p).is_irreducible:
+                break
+        assert make_context(p, m).modulus == tail, (p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
+def test_largest_contexts_build_within_budget(p, m):
+    ffpoly._CTX_CACHE.pop((p, m), None)  # time a fresh build
+    start = time.perf_counter()
+    ctx = make_context(p, m)
+    assert time.perf_counter() - start < 10.0
+    assert ctx.generator.multiplicative_order() == ctx.q - 1
+    tables = [t for t in (ctx._exp, ctx._log, ctx._zech) if t is not None]
+    assert sum(sys.getsizeof(t) for t in tables) < 512 * 1024
+
+
+class _PolyBasis:
+    """Reference arithmetic: coefficient vectors reduced mod ctx.modulus.
+
+    Scalars are ints mod p for a flat context and base-context elements
+    (with their own operators) for a tower.
+    """
+
+    def __init__(self, ctx):
+        self.ctx, self.m, self.mod = ctx, ctx.m, list(ctx.modulus)
+        if ctx.base is None:
+            p = ctx.p
+            self.zero, self.one_s = 0, 1
+            self.add = lambda a, b: (a + b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
+            self.scalar = lambda d: d
+        else:
+            self.zero, self.one_s = ctx.base.zero(), ctx.base.one()
+            self.add = lambda a, b: a + b
+            self.mul = lambda a, b: a * b
+            self.neg = lambda a: -a
+            self.scalar = ctx.base.from_int
+
+    def vec(self, a):
+        i, out = a.to_int(), []
+        for _ in range(self.m):
+            i, d = divmod(i, self.ctx.qbase)
+            out.append(self.scalar(d))
+        return out
+
+    def one(self):
+        return [self.one_s] + [self.zero] * (self.m - 1)
+
+    def vadd(self, x, y):
+        return [self.add(a, b) for a, b in zip(x, y)]
+
+    def vneg(self, x):
+        return [self.neg(a) for a in x]
+
+    def vmul(self, x, y):
+        m = self.m
+        raw = [self.zero] * (2 * m - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                raw[i + j] = self.add(raw[i + j], self.mul(a, b))
+        for i in range(2 * m - 2, m - 1, -1):
+            lead = raw[i]
+            for j in range(m):
+                raw[i - m + j] = self.add(raw[i - m + j], self.neg(self.mul(lead, self.mod[j])))
+        return raw[:m]
+
+    def vpow(self, x, e):
+        out = self.one()
+        for bit in bin(e)[2:]:
+            out = self.vmul(out, out)
+            if bit == "1":
+                out = self.vmul(out, x)
+        return out
+
+    def order(self, x):
+        n = self.ctx.q - 1
+        for r in factor_int(n):
+            while n % r == 0 and self.vpow(x, n // r) == self.one():
+                n //= r
+        return n
+
+
+def _check_kernel(ctx):
+    R = _PolyBasis(ctx)
+    q, one = ctx.q, R.one()
+    rng = random.Random(q)
+    if q <= 16:
+        els = list(ctx.elements())
+        pairs = [(a, b) for a in els for b in els]
+    else:
+        els = [ctx.zero(), ctx.one()] + [ctx.from_int(rng.randrange(q)) for _ in range(40)]
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(200)]
+    for a, b in pairs:
+        va, vb = R.vec(a), R.vec(b)
+        assert R.vec(a + b) == R.vadd(va, vb)
+        assert R.vec(a - b) == R.vadd(va, R.vneg(vb))
+        assert R.vec(-a) == R.vneg(va)
+        assert R.vec(a * b) == R.vmul(va, vb)
+        if not b.is_zero():
+            assert R.vmul(R.vec(a / b), vb) == va
+    gen = next(ctx.from_int(i) for i in range(1, q) if R.order(R.vec(ctx.from_int(i))) == q - 1)
+    assert ctx.generator == gen
+    for a in els:
+        va = R.vec(a)
+        if a.is_zero():
+            assert a ** 0 == ctx.one() and a ** 7 == a
+            for bad in (a.inverse, lambda: ctx.dlog(a), a.multiplicative_order,
+                        lambda: a ** -1, lambda: ctx.one() / a):
+                with pytest.raises(DomainError):
+                    bad()
+            continue
+        assert R.vmul(R.vec(a.inverse()), va) == one
+        for e in (rng.randrange(-3 * q, 3 * q), 10 ** 30 + rng.randrange(q)):
+            assert R.vec(a ** e) == R.vpow(va, e % (q - 1))
+        k = ctx.dlog(a)
+        assert 0 <= k < q - 1 and R.vpow(R.vec(gen), k) == va
+        assert a.multiplicative_order() == R.order(va)
+
+
+@pytest.mark.parametrize("p,m", _prime_powers(256) + [(2, 12)])
+def test_flat_kernel_matches_polynomial_basis(p, m):
+    _check_kernel(make_context(p, m))
+
+
+@pytest.mark.parametrize("p,m,r", [(2, 2, 3), (3, 2, 2)])
+def test_tower_kernel_matches_polynomial_basis(p, m, r):
+    _check_kernel(make_context(p, m).extension(r))
 
 
 def test_context_is_cached():

@@ -288,10 +288,19 @@ def test_profile_from_dict_rejects_garbage():
     {"q": 10 ** 30 + 57, "infinity": [{"e": 1, "t": 1}]},
     {"q": 1, "infinity": [{"e": 1, "t": 1}]},
     [1, 2],
+    {"q": 9, "finite": [{"deg": 65, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "infinity": [{"e": 1, "t": 65}]},
+    {"q": 9, "s": 65, "infinity": [{"e": 1, "t": 1}]},
 ])
 def test_profile_from_dict_rejects_malformed_fields(data):
     with pytest.raises(DomainError):
         profile_from_dict(data)
+
+
+def test_profile_from_dict_accepts_degrees_at_the_caps():
+    prof = profile_from_dict({"q": 9, "s": 64, "finite": [{"deg": 64, "e": [2]}],
+                              "infinity": [{"e": 1, "t": 64}]})
+    assert (prof.s, prof.finite[0].deg, prof.infinity) == (64, 64, ((1, 64),))
 
 
 # -- composition and polygons --
