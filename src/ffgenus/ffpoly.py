@@ -671,19 +671,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def poly_arith(a, b, op):
-    """Dispatcher kept for a uniform functional surface."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divrem":
-        return a.divrem(b)
-    if op == "gcd":
-        return poly_gcd(a, b)
-    raise DomainError(f"unknown op {op!r}")
-
-
 def powmod(base, e, mod):
     """base**e mod `mod` by square and multiply."""
     result = FqPoly.const(base.ctx, base.ctx.one())

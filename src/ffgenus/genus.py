@@ -21,14 +21,13 @@ lists plus a constants degree, so equality is decidable by comparison.
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd, lcm, prod
 
 from .carlitz import subfield_FP
 from .ffpoly import (
+    MAX_POLY_DEG,
     MAX_Q,
     DomainError,
     FqElem,
@@ -40,8 +39,6 @@ from .ffpoly import (
     render_poly,
 )
 from .ramify import build_profile, p_adic_val
-
-MAX_LATTICE = 1 << 16
 
 
 # -- symbolic field expressions --
@@ -204,14 +201,6 @@ def c_P(q, e_P, degP):
     return gcd(e_P, q ** degP - 1)
 
 
-def unramified_in_composite(e_list, e_star):
-    """Whether a tame cyclic piece of index e_star stays unramified over
-    every prime with the given ramification indices: e_star | gcd(e_list)."""
-    if e_star < 1:
-        raise DomainError("e_star must be positive")
-    return reduce(gcd, e_list, 0) % e_star == 0
-
-
 def estar_interval(q, e_P, degP):
     """Certified divisor interval for the ramification of P in the genus field.
 
@@ -255,9 +244,9 @@ class GenusComponents:
     c_inf = lcm of the per-place e_inf_FP (the ramification of the infinite
     prime in F_0/k) and equals [F_0 : F_0 meet R+] where R+ is the maximal
     totally split-at-infinity cyclotomic piece; F0_plus_deg is the degree
-    of that intersection. cprime_exact and F are filled by find_F when the
-    subfield lattice is accessible, and u_status records whether the upper
-    constant exponent was pinned to t_0.
+    of that intersection. cprime_exact and F are filled by find_F when every
+    c_P is Kummer (divides q - 1) or the bound alone pins them, and u_status
+    records whether the upper constant exponent was pinned to t_0.
     """
 
     q: int
@@ -306,7 +295,8 @@ def build_F0(profile):
             gens.append(gen)
     c_inf = reduce(lcm, (pl.e_inf_FP for pl in places), 1)
     total = prod(pl.c_P for pl in places)
-    assert total % c_inf == 0
+    if total % c_inf:
+        raise AssertionError(f"c_inf = {c_inf} does not divide [F_0 : k] = {total}")
     return GenusComponents(
         q=q, places=tuple(places), c_inf=c_inf, e_inf=profile.e_inf,
         cprime_bound=gcd(c_inf, profile.e_inf), F0=field_expr(q, gens, 1),
@@ -333,29 +323,28 @@ def _lift_chain(a, target):
     return a
 
 
-def _infinity_residue_data(K):
+def _infinity_residue_data(profile):
     """Residue-field models of the completions of K at its infinite primes.
 
-    With d = gcd(deg D, n), e = n/d, m' = deg D/d and y the defining root,
-    the unit z = y^e/T^{m'} satisfies z^d = gamma * D/T^{deg D}, so its
-    residue r is a root of X^d - gamma, and T = z^a * pi^{-e} for any
-    uniformizer pi = y^a/T^c with c*e - a*m' = 1. Returns (e, a, data)
-    where data holds one (residue context, r) pair per infinite prime.
+    With d = gcd(deg D, n), e = n/d, m' = deg D/d and y the defining root of
+    K = profile.radical, the unit z = y^e/T^{m'} satisfies
+    z^d = gamma * D/T^{deg D}, so its residue r is a root of X^d - gamma,
+    and T = z^a * pi^{-e} for any uniformizer pi = y^a/T^c with
+    c*e - a*m' = 1. Returns (e, a, data) where data holds one
+    (residue context, r) pair per infinite prime, read off the factors of
+    X^d - gamma that build_profile found.
     """
-    ctx = K.ctx
+    K = profile.radical
     d = gcd(K.D.degree, K.n)
     e = K.n // d
     mprime = K.D.degree // d
     a = (-pow(mprime, -1, e)) % e if e > 1 else 0
-    ext_s = ctx.extension(K.s)
-    g = ext_s.lift(K.gamma) if K.s > 1 else K.gamma
-    f = FqPoly.x(ext_s) ** d - FqPoly.const(ext_s, g)
     data = []
-    for h, _ in factor(f).factors:
+    for h in profile.infinity_factors:
         if h.degree == 1:
-            top, r = ext_s, -h.coeffs[0]
+            top, r = h.ctx, -h.coeffs[0]
         else:
-            top = ext_s.extension(h.degree)
+            top = h.ctx.extension(h.degree)
             lifted = FqPoly(top, tuple(top.lift(c) for c in h.coeffs))
             linear = [u for u, _ in factor(lifted).factors if u.degree == 1]
             r = -linear[0].coeffs[0]
@@ -363,14 +352,23 @@ def _infinity_residue_data(K):
     return e, a, data
 
 
+def _root_splits(residues, eps, unit, deg):
+    """Whether an eps-th root of unit * A, deg A = deg, splits at infinity.
+
+    residues is _infinity_residue_data of K. In each completion at infinity
+    the root exists iff eps divides the value e_inf * deg and the unit-part
+    residue unit * r^(a * deg) is an eps-th power of the residue field.
+    """
+    e, a, data = residues
+    return (e * deg) % eps == 0 and all(
+        is_eth_power(_lift_chain(unit, top) * r ** (a * deg), eps) for top, r in data)
+
+
 def splits_fully_at_infinity(K, gen):
     """Whether every infinite prime of K splits completely in K(root)/K.
 
     gen = (e, unit, A) describes the Kummer generator root^e = unit * A
-    with unit a nonzero constant and A monic; e must divide q - 1. In each
-    completion at infinity the root exists iff e divides the value
-    e_inf * deg A and the unit-part residue unit * r^(a * deg A) is an
-    e-th power of the residue field.
+    with unit a nonzero constant and A monic; e must divide q - 1.
     """
     eps, unit, A = gen
     ctx = K.ctx
@@ -382,91 +380,90 @@ def splits_fully_at_infinity(K, gen):
         raise DomainError("A must be monic over the base field")
     if eps == 1:
         return True
-    e, a, data = _infinity_residue_data(K)
-    if (e * A.degree) % eps != 0:
-        return False
-    for top, r in data:
-        u = _lift_chain(unit, top) * r ** (a * A.degree)
-        if not is_eth_power(u, eps):
-            return False
-    return True
+    return _root_splits(_infinity_residue_data(build_profile(K)), eps, unit, A.degree)
 
 
-def find_F(K, comps):
+def _divisors(n):
+    divs = [1]
+    for p, k in factor_int(n).items():
+        divs = [d * p ** i for d in divs for i in range(k + 1)]
+    return sorted(divs)
+
+
+def _split_generators(cs, ws, h):
+    """Generators of S = {x in prod Z/c_i : sum w_i x_i = 0 mod h}, h | w_i c_i.
+
+    They are the elements a greedy span over S in lexicographic order picks:
+    one per coordinate j where the elements of S vanishing before j have a
+    nonzero x_j, namely (0..0, t, tail) with t the least such x_j and the
+    lexicographically least tail, listed from the last coordinate to the first.
+    """
+    # suffix[j] = gcd(h, w_j, ..., w_last): sum_{i >= j} w_i x_i ranges over suffix[j]Z/h
+    suffix = [h]
+    for w in reversed(ws):
+        suffix.append(gcd(suffix[-1], w))
+    suffix.reverse()
+    gens = []
+    for j in reversed(range(len(cs))):
+        # x_j runs over tZ/c_j, and t | c_j because h | w_j c_j
+        t = suffix[j + 1] // gcd(suffix[j + 1], ws[j])
+        if t == cs[j]:
+            continue
+        x = [0] * j + [t]
+        rest = -ws[j] * t % h
+        for i in range(j + 1, len(cs)):
+            # least x_i with w_i x_i = rest mod suffix[i + 1]; suffix[i] divides both
+            d, m = suffix[i], suffix[i + 1] // suffix[i]
+            xi = rest // d * pow(ws[i] // d, -1, m) % m
+            x.append(xi)
+            rest = (rest - ws[i] * xi) % h
+        gens.append(tuple(x))
+    return gens
+
+
+def find_F(profile, comps):
     """Fill in the maximal fully-split subfield F of F_0 and c'_inf.
 
-    Subfields of F_0 correspond to subgroups of a product of cyclic groups
-    of orders c_P realized by Kummer radicals; F is spanned by the elements
-    whose roots split completely at every infinite prime of K, a subgroup
-    containing the one for F_0 meet R+, and cprime_exact is the index
-    between the two. Degrades to the bound-only result (F left None) when
-    some c_P is not Kummer-accessible while c_inf > 1, or when the lattice
-    exceeds the enumeration cap.
+    Subfields of F_0 correspond to subgroups of G = prod Z/c_i, where x
+    stands for the Kummer radical (-1)^{deg} * prod P_i^{x_i N'/c_i} and
+    N' = lcm c_i. Whether its root splits at every infinite prime of
+    K = profile.radical depends only on sum w_i x_i mod N', with
+    w_i = deg P_i * N'/c_i, and the splitting classes form a subgroup hZ/N'.
+    So F is the field of {x : sum w_i x_i = 0 mod h}, F_0 meet R+ that of
+    the same congruence mod N', and c'_inf = N'/lcm(h, gcd(N', w)) is the
+    index between them. Degrades to the bound-only result (F left None)
+    when some c_P is not Kummer-accessible while c_inf > 1.
     """
+    K = profile.radical
     q = K.ctx.q
     if comps.c_inf == 1:
         return replace(comps, cprime_exact=1, F=comps.F0)
     ram = [pl for pl in comps.places if pl.c_P > 1]
     if any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
-    size = prod(pl.c_P for pl in ram)
-    if size > MAX_LATTICE:
-        warnings.warn(f"subfield lattice of size {size} exceeds the cap; "
-                      "reporting bounds only")
-        return _bound_only(comps)
     poly_map = {render_poly(P): P for P, _ in K.D_factors.factors}
     Ps = [poly_map[pl.poly] for pl in ram]
     cs = [pl.c_P for pl in ram]
-    degs = [pl.deg for pl in ram]
     Nprime = reduce(lcm, cs, 1)
     mus = [Nprime // c for c in cs]
-    e, a, data = _infinity_residue_data(K)
+    ws = [pl.deg * m for pl, m in zip(ram, mus)]
+    residues = _infinity_residue_data(profile)
     one, minus = K.ctx.one(), -K.ctx.one()
-    split_memo, plus_memo = {}, {}
+    for h in _divisors(Nprime):  # ascending, and the class of N' always splits
+        if _root_splits(residues, Nprime, minus if h % 2 else one, h):
+            break
+    g = gcd(Nprime, *ws)
+    # |G| = |plus| * c_inf with |plus| = |G| * g/N' recomputes c_inf = [F_0 : F_0 meet R+]
+    if Nprime // g != comps.c_inf:
+        raise AssertionError(f"the split-at-plus subgroup gives c_inf = {Nprime // g}, "
+                             f"the places give {comps.c_inf}")
+    cprime = Nprime // lcm(h, g)
+    if comps.cprime_bound % cprime:
+        raise AssertionError(f"c'_inf = {cprime} does not divide its bound {comps.cprime_bound}")
 
-    def w_splits(dw):
-        if dw not in split_memo:
-            ok = (e * dw) % Nprime == 0
-            lam = minus if dw % 2 else one
-            for top, r in data:
-                if not ok:
-                    break
-                ok = is_eth_power(_lift_chain(lam, top) * r ** (a * dw), Nprime)
-            split_memo[dw] = ok
-        return split_memo[dw]
-
-    def w_plus(dw):
-        if dw not in plus_memo:
-            lam = minus if dw % 2 else one
-            plus_memo[dw] = dw % Nprime == 0 and is_eth_power(lam, Nprime)
-        return plus_memo[dw]
-
-    split_set, plus_set = set(), set()
-    for x in itertools.product(*(range(c) for c in cs)):
-        dw = sum(d * m * xi for d, m, xi in zip(degs, mus, x))
-        if w_splits(dw):
-            split_set.add(x)
-        if w_plus(dw):
-            plus_set.add(x)
-    assert plus_set <= split_set
-    # the two computation paths for c_inf = [F_0 : F_0 meet R+] must agree
-    assert size == len(plus_set) * comps.c_inf
-    assert len(split_set) % len(plus_set) == 0
-    cprime = len(split_set) // len(plus_set)
-    assert comps.cprime_bound % cprime == 0
-
-    gens = []
-    span = {(0,) * len(cs)}
-    for x in sorted(split_set):
-        if x in span:
-            continue
-        ordx = reduce(lcm, (c // gcd(c, xi) for xi, c in zip(x, cs)), 1)
-        span = {tuple((si + j * xi) % ci for si, xi, ci in zip(s, x, cs))
-                for s in span for j in range(ordx)}
-        gens.append(_reduce_generator(K.ctx, x, Ps, mus, Nprime))
-    assert len(span) == len(split_set)
-    F = field_expr(q, gens, 1)
-    return replace(comps, cprime_exact=cprime, F=F)
+    gens = [_reduce_generator(K.ctx, x, Ps, mus, Nprime)
+            for x in _split_generators(cs, ws, h)]
+    return replace(comps, cprime_exact=cprime, F=field_expr(q, gens, 1))
 
 
 def _bound_only(comps):
@@ -604,7 +601,7 @@ def _constants_collapse(K, comps):
 def genus_report(K):
     """Full genus-field report of a radical extension."""
     profile = build_profile(K)
-    comps = find_F(K, build_F0(profile))
+    comps = find_F(profile, build_F0(profile))
     wild = wild_bounds(profile)
     q, t0 = profile.q, profile.t0
     k_gen = _radical_gen(K.n, K.gamma, K.D)
@@ -688,7 +685,8 @@ def prime_degree_case(q, l, t, K_in_Rplus):
     degree l; the genus field has degree l^{t-1} over K with t_0 = 1 when
     K lies in the totally-split-at-infinity cyclotomic tower, and degree
     l^t with t_0 = l otherwise. Returns ([K_ge : K], t_0). Both q and l
-    are capped at MAX_Q.
+    are capped at MAX_Q, and t at MAX_POLY_DEG: the D of a radical
+    extension has at most that many prime factors.
     """
     if not 2 <= q <= MAX_Q or len(factor_int(q)) != 1:
         raise DomainError(f"q = {q} is not a prime power up to {MAX_Q}")
@@ -698,6 +696,8 @@ def prime_degree_case(q, l, t, K_in_Rplus):
         raise DomainError(f"l = {l} must not divide q(q-1)")
     if not isinstance(t, int) or t < 1:
         raise DomainError("need at least one ramified place")
+    if t > MAX_POLY_DEG:
+        raise DomainError(f"t = {t} ramified places exceed the cap {MAX_POLY_DEG}")
     if K_in_Rplus:
         return l ** (t - 1), 1
     return l ** t, l

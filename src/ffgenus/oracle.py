@@ -2,18 +2,23 @@
 
 Each function here recomputes something the other modules obtain by formula
 (factorizations, unit counts, the Carlitz module laws, constant degrees of
-root fields, splitting of finite primes) by exhaustive enumeration or trial
-division, sharing only base field arithmetic with the code under test. The
-caps fail loudly instead of degrading, so a sweep that ran is a sweep that
-covered what it claims.
+root fields, splitting of finite primes, ramification indices from Newton
+polygons) by exhaustive enumeration or trial division, sharing only base
+field arithmetic with the code under test. The one exception is
+enumerate_F, the reference for the subgroup algebra of genus.find_F: it
+walks the whole subfield lattice but reads the residues at infinity and
+writes generators with the genus module's own helpers. The caps fail
+loudly instead of degrading, so a sweep that ran is a sweep that covered
+what it claims.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
 from .ffpoly import (
@@ -22,8 +27,17 @@ from .ffpoly import (
     DomainError,
     Factorization,
     FqPoly,
+    is_eth_power,
     monic_polys,
     poly_gcd,
+    render_poly,
+)
+from .genus import (
+    _bound_only,
+    _infinity_residue_data,
+    _lift_chain,
+    _reduce_generator,
+    field_expr,
 )
 
 MAX_ENUM = 1 << 20
@@ -270,3 +284,120 @@ def splitting_at_finite(K, P, config=None):
     degs = tuple(sorted(g.degree for g, mult in fact.factors for _ in range(mult)))
     assert sum(degs) == K.n
     return 1, degs
+
+
+@dataclass(frozen=True)
+class NewtonPolygon:
+    """Lower convex hull of (exponent, valuation) points; slopes increase."""
+
+    vertices: tuple
+    slopes: tuple
+
+
+def newton_polygon(points):
+    pts = sorted(set(points))
+    if len(pts) < 2:
+        raise DomainError("a polygon needs at least two distinct points")
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # keep the middle point only while it dips strictly below the chord
+            if (y2 - y1) * (pt[0] - x1) < (pt[1] - y1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(pt)
+    slopes = tuple(
+        Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0])
+        for i in range(len(hull) - 1))
+    assert all(slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1))
+    return NewtonPolygon(tuple(hull), slopes)
+
+
+def newton_polygon_e(n, alpha):
+    """Ramification index read off the polygon of X^n - u with v(u) = alpha.
+
+    The polygon has the single segment (0, alpha) -- (n, 0), so every root
+    has valuation alpha/n and the index is the reduced denominator.
+    """
+    if n < 1 or alpha < 0:
+        raise DomainError("need n >= 1 and alpha >= 0")
+    if alpha == 0:
+        return 1
+    poly = newton_polygon([(0, alpha), (n, 0)])
+    assert len(poly.slopes) == 1
+    return poly.slopes[0].denominator
+
+
+def enumerate_F(profile, comps):
+    """genus.find_F recomputed by walking the whole subfield lattice.
+
+    Every element x of the product of the Z/c_P (Kummer c_P only) is tested
+    for splitting at each infinite prime of K = profile.radical; F is spanned
+    greedily by the split elements in lexicographic order and c'_inf is the
+    index of the split-at-plus subgroup in the split subgroup. Lattices
+    above MAX_ENUM elements are refused.
+    """
+    K = profile.radical
+    q = K.ctx.q
+    if comps.c_inf == 1:
+        return replace(comps, cprime_exact=1, F=comps.F0)
+    ram = [pl for pl in comps.places if pl.c_P > 1]
+    if any((q - 1) % pl.c_P != 0 for pl in ram):
+        return _bound_only(comps)
+    size = prod(pl.c_P for pl in ram)
+    if size > MAX_ENUM:
+        raise DomainError(f"subfield lattice of size {size} exceeds the enumeration cap")
+    poly_map = {render_poly(P): P for P, _ in K.D_factors.factors}
+    Ps = [poly_map[pl.poly] for pl in ram]
+    cs = [pl.c_P for pl in ram]
+    degs = [pl.deg for pl in ram]
+    Nprime = reduce(lcm, cs, 1)
+    mus = [Nprime // c for c in cs]
+    e, a, data = _infinity_residue_data(profile)
+    one, minus = K.ctx.one(), -K.ctx.one()
+    split_memo, plus_memo = {}, {}
+
+    def w_splits(dw):
+        if dw not in split_memo:
+            ok = (e * dw) % Nprime == 0
+            lam = minus if dw % 2 else one
+            for top, r in data:
+                if not ok:
+                    break
+                ok = is_eth_power(_lift_chain(lam, top) * r ** (a * dw), Nprime)
+            split_memo[dw] = ok
+        return split_memo[dw]
+
+    def w_plus(dw):
+        if dw not in plus_memo:
+            lam = minus if dw % 2 else one
+            plus_memo[dw] = dw % Nprime == 0 and is_eth_power(lam, Nprime)
+        return plus_memo[dw]
+
+    split_set, plus_set = set(), set()
+    for x in itertools.product(*(range(c) for c in cs)):
+        dw = sum(d * m * xi for d, m, xi in zip(degs, mus, x))
+        if w_splits(dw):
+            split_set.add(x)
+        if w_plus(dw):
+            plus_set.add(x)
+    assert plus_set <= split_set
+    # the two computation paths for c_inf = [F_0 : F_0 meet R+] must agree
+    assert size == len(plus_set) * comps.c_inf
+    assert len(split_set) % len(plus_set) == 0
+    cprime = len(split_set) // len(plus_set)
+    assert comps.cprime_bound % cprime == 0
+
+    gens = []
+    span = {(0,) * len(cs)}
+    for x in sorted(split_set):
+        if x in span:
+            continue
+        ordx = reduce(lcm, (c // gcd(c, xi) for xi, c in zip(x, cs)), 1)
+        span = {tuple((si + j * xi) % ci for si, xi, ci in zip(s, x, cs))
+                for s in span for j in range(ordx)}
+        gens.append(_reduce_generator(K.ctx, x, Ps, mus, Nprime))
+    assert len(span) == len(split_set)
+    F = field_expr(q, gens, 1)
+    return replace(comps, cprime_exact=cprime, F=F)

@@ -13,9 +13,8 @@ genus-field bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
 from .ffpoly import (
     MAX_POLY_DEG,
@@ -121,7 +120,8 @@ def _infinity_factorization(gamma, d, s):
     g = ext.lift(gamma) if s > 1 else gamma
     f = FqPoly.x(ext) ** d - FqPoly.const(ext, g)
     fac = factor(f)
-    assert all(mult == 1 for _, mult in fac.factors)  # separable since p does not divide d
+    if any(mult > 1 for _, mult in fac.factors):
+        raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
     return [h for h, _ in fac.factors]
 
 
@@ -164,7 +164,9 @@ class RamificationProfile:
 
     finite lists only places with a ramified prime above them; infinity
     holds one (e, t) pair per infinite prime of K. geometric is True/False
-    when certified and None when the criteria are silent.
+    when certified and None when the criteria are silent. For a radical
+    profile, infinity_factors holds the irreducible factors of X^d - gamma
+    over F_{q^s} that the infinity pairs were read from, in the same order.
     """
 
     q: int
@@ -176,6 +178,7 @@ class RamificationProfile:
     t0: int
     geometric: object
     radical: RadicalExtension = None
+    infinity_factors: tuple = ()
 
 
 def _geometric_flag(K, alphas):
@@ -198,12 +201,14 @@ def build_profile(K):
             finite.append(FinitePlace(P.degree, (e,), e, 0, e, P))
     d = gcd(K.D.degree, n)
     e_inf = n // d
-    infinity = tuple((e_inf, K.s * h.degree) for h in _infinity_factorization(K.gamma, d, K.s))
+    factors = tuple(_infinity_factorization(K.gamma, d, K.s))
+    infinity = tuple((e_inf, K.s * h.degree) for h in factors)
     t0 = reduce(gcd, (t for _, t in infinity))
     geo = _geometric_flag(K, [a for _, a in K.D_factors.factors])
     return RamificationProfile(
         q=K.ctx.q, p=K.ctx.p, s=K.s, finite=tuple(finite), infinity=infinity,
-        e_inf=reduce(gcd, (e for e, _ in infinity)), t0=t0, geometric=geo, radical=K)
+        e_inf=reduce(gcd, (e for e, _ in infinity)), t0=t0, geometric=geo, radical=K,
+        infinity_factors=factors)
 
 
 def profile_from_dict(data):
@@ -256,55 +261,3 @@ def profile_from_dict(data):
         q=q, p=p, s=s, finite=tuple(finite), infinity=tuple(infinity),
         e_inf=reduce(gcd, (e for e, _ in infinity)),
         t0=reduce(gcd, (t for _, t in infinity)), geometric=geo)
-
-
-def abhyankar_lcm(e1, e2, tame):
-    """Ramification index in a compositum: lcm of the sides, tame case only."""
-    if e1 < 1 or e2 < 1:
-        raise DomainError("ramification indices must be positive")
-    if not tame:
-        raise DomainError("composite ramification index needs a tame side")
-    return lcm(e1, e2)
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of (exponent, valuation) points; slopes increase."""
-
-    vertices: tuple
-    slopes: tuple
-
-
-def newton_polygon(points):
-    pts = sorted(set(points))
-    if len(pts) < 2:
-        raise DomainError("a polygon needs at least two distinct points")
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the middle point only while it dips strictly below the chord
-            if (y2 - y1) * (pt[0] - x1) < (pt[1] - y1) * (x2 - x1):
-                break
-            hull.pop()
-        hull.append(pt)
-    slopes = tuple(
-        Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0])
-        for i in range(len(hull) - 1))
-    assert all(slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1))
-    return NewtonPolygon(tuple(hull), slopes)
-
-
-def newton_polygon_e(n, alpha):
-    """Ramification index read off the polygon of X^n - u with v(u) = alpha.
-
-    The polygon has the single segment (0, alpha) -- (n, 0), so every root
-    has valuation alpha/n and the index is the reduced denominator.
-    """
-    if n < 1 or alpha < 0:
-        raise DomainError("need n >= 1 and alpha >= 0")
-    if alpha == 0:
-        return 1
-    poly = newton_polygon([(0, alpha), (n, 0)])
-    assert len(poly.slopes) == 1
-    return poly.slopes[0].denominator

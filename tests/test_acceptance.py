@@ -34,12 +34,12 @@ from ffgenus.oracle import (
     DEFAULT_CONFIG,
     carlitz_compose_check,
     naive_factor,
+    newton_polygon_e,
     t0_root_degrees,
     unit_count,
 )
 from ffgenus.ramify import (
     build_profile,
-    newton_polygon_e,
     radical_extension,
     ram_finite,
     t0_radical,

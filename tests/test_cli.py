@@ -180,6 +180,15 @@ def test_json_byte_identical_black_box():
     assert run_cli(argv).stdout == run_cli(argv).stdout
 
 
+def test_large_lattice_report_has_clean_stderr():
+    # q = 25, n = 24: a subfield lattice of 24^4 = 331776 elements, F still determined
+    proc = run_cli(["genus", "--field", "25", "--n", "24", "--gamma", "1",
+                    "--poly", "T*(T+1)*(T+2)*(T^2+T+g)"])
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert b"\nF  = k((T + 2)^(1/12), (T^2 + 2*T)^(1/24), " in proc.stdout
+
+
 BIG_N = ["genus", "--field", "5", "--n", "1000000000000000003", "--gamma", "2",
          "--poly", "T*(T+1)"]
 

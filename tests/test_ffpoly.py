@@ -23,7 +23,6 @@ from ffgenus.ffpoly import (
     monic_polys,
     parse_element,
     parse_poly,
-    poly_arith,
     poly_gcd,
     render_element,
     render_poly,
@@ -296,7 +295,7 @@ def test_extension_degree_one_is_identity():
 
 def test_gcd_example_f3():
     ctx = make_context(3, 1)
-    g = poly_arith(P(ctx, "T^2-T-1"), P(ctx, "T"), "gcd")
+    g = poly_gcd(P(ctx, "T^2-T-1"), P(ctx, "T"))
     assert g == P(ctx, "1")
 
 
@@ -310,7 +309,7 @@ def test_cube_root_product_f25():
 
 def test_divrem_example():
     ctx = make_context(3, 1)
-    q, r = poly_arith(P(ctx, "T^3+2*T+1"), P(ctx, "T"), "divrem")
+    q, r = P(ctx, "T^3+2*T+1").divrem(P(ctx, "T"))
     assert q == P(ctx, "T^2+2")
     assert r == P(ctx, "1")
 

@@ -1,9 +1,13 @@
 """Genus-field assembly: component tables, split tests, certificates, sweeps."""
 
+import itertools
 import json
 import random
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +23,7 @@ from ffgenus.ffpoly import (
     parse_poly,
 )
 from ffgenus.genus import (
+    _split_generators,
     adjoin_constants,
     build_F0,
     c_P,
@@ -32,9 +37,9 @@ from ffgenus.genus import (
     report_json,
     render_report,
     splits_fully_at_infinity,
-    unramified_in_composite,
     wild_bounds,
 )
+from ffgenus.oracle import enumerate_F
 from ffgenus.ramify import build_profile, profile_from_dict, radical_extension
 
 
@@ -58,6 +63,11 @@ def K53p(s=1):
     return K_of(5, 1, 3, 1, "T^3+T^2+T", s=s)
 
 
+def F_of(K):
+    prof = build_profile(K)
+    return find_F(prof, build_F0(prof))
+
+
 def irreducibles(ctx, maxdeg):
     return [g for d in range(1, maxdeg + 1) for g in monic_polys(ctx, d)
             if is_irreducible(g)]
@@ -75,13 +85,6 @@ def irreducibles(ctx, maxdeg):
 ])
 def test_c_P_values(q, e, deg, expected):
     assert c_P(q, e, deg) == expected
-
-
-def test_unramified_in_composite():
-    assert unramified_in_composite([4, 8], 2)
-    assert not unramified_in_composite([2, 4], 3)
-    assert unramified_in_composite([7], 1)
-    assert not unramified_in_composite([6, 9], 9)
 
 
 @pytest.mark.parametrize("q,e,deg,expected", [
@@ -186,14 +189,14 @@ def test_splits_rejects_bad_generators():
 
 def test_find_F_quadratic_example_collapses_to_k():
     K = K51()
-    comps = find_F(K, build_F0(build_profile(K)))
+    comps = F_of(K)
     assert comps.cprime_exact == 1
     assert comps.F.render() == "k"
 
 
 def test_find_F_fast_path_when_F0_unramified_at_infinity():
     for K in (K53(), K53p()):
-        comps = find_F(K, build_F0(build_profile(K)))
+        comps = F_of(K)
         assert comps.c_inf == 1
         assert comps.cprime_exact == 1
         assert comps.F == comps.F0
@@ -202,7 +205,7 @@ def test_find_F_fast_path_when_F0_unramified_at_infinity():
 def test_find_F_lattice_proper_subgroup():
     # q=3, sqrt(T^3+T): only the even-degree part of F_0 splits
     K = K_of(3, 1, 2, 1, "T^3+T")
-    comps = find_F(K, build_F0(build_profile(K)))
+    comps = F_of(K)
     assert (comps.c_inf, comps.cprime_exact) == (2, 1)
     assert comps.F.render() == "k((T^2 + 1)^(1/2))"
     assert comps.F0_plus_deg == 2
@@ -211,7 +214,7 @@ def test_find_F_lattice_proper_subgroup():
 def test_find_F_lattice_full_group():
     # same D with gamma = -1: every class splits and F = F_0
     K = K_of(3, 1, 2, 2, "T^3+T")
-    comps = find_F(K, build_F0(build_profile(K)))
+    comps = F_of(K)
     assert (comps.c_inf, comps.cprime_exact) == (2, 2)
     assert comps.F == comps.F0
     assert comps.F.render() == "k((-(T))^(1/2), (T^2 + 1)^(1/2))"
@@ -220,7 +223,7 @@ def test_find_F_lattice_full_group():
 def test_find_F_exponent_reduction():
     # q=5, eighth root of T: the split subgroup is generated by sqrt(T)
     K = K_of(5, 1, 8, 1, "T")
-    comps = find_F(K, build_F0(build_profile(K)))
+    comps = F_of(K)
     assert (comps.c_inf, comps.cprime_exact) == (4, 2)
     assert comps.F.render() == "k((T)^(1/2))"
 
@@ -229,7 +232,7 @@ def test_find_F_degrades_on_non_kummer_component():
     ctx = make_context(5, 1)
     D = parse_poly(ctx, "T") * parse_poly(ctx, "T^2+T+1") ** 4
     K = radical_extension(ctx, 12, ctx.one(), D)
-    comps = find_F(K, build_F0(build_profile(K)))
+    comps = F_of(K)
     assert any((ctx.q - 1) % pl.c_P != 0 for pl in comps.places)
     assert comps.cprime_exact is None and comps.F is None
     assert (comps.c_inf, comps.cprime_bound, comps.F0_plus_deg) == (4, 4, 3)
@@ -239,11 +242,127 @@ def test_find_F_generators_pass_split_test():
     for args in [(3, 1, 2, 1, "T^3+T"), (3, 1, 2, 2, "T^3+T"),
                  (5, 1, 8, 1, "T"), (3, 1, 4, 1, "T^3+2*T^2+T")]:
         K = K_of(*args)
-        comps = find_F(K, build_F0(build_profile(K)))
+        comps = F_of(K)
         assert comps.F is not None and comps.F.radicals
         for g in comps.F.radicals:
             gen = (g.e, parse_element(K.ctx, g.unit), parse_poly(K.ctx, g.poly))
             assert splits_fully_at_infinity(K, gen)
+
+
+def test_find_F_cross_checks_c_inf():
+    # a c_inf that disagrees with the split-at-plus subgroup is an error, also under -O
+    prof = build_profile(K_of(5, 1, 8, 1, "T"))
+    comps = build_F0(prof)
+    with pytest.raises(AssertionError, match="c_inf"):
+        find_F(prof, replace(comps, c_inf=2 * comps.c_inf))
+    code = (
+        "from dataclasses import replace\n"
+        "from ffgenus import make_context, parse_poly, radical_extension, build_profile\n"
+        "from ffgenus.genus import build_F0, find_F\n"
+        "ctx = make_context(5, 1)\n"
+        "prof = build_profile(radical_extension(ctx, 8, ctx.one(), parse_poly(ctx, 'T')))\n"
+        "comps = build_F0(prof)\n"
+        "try:\n"
+        "    find_F(prof, replace(comps, c_inf=2 * comps.c_inf))\n"
+        "except AssertionError:\n"
+        "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
+
+
+def _greedy_span_generators(cs, ws, h):
+    """The lexicographic greedy span over {x : sum w_i x_i = 0 mod h}, by brute force."""
+    split = sorted(x for x in itertools.product(*(range(c) for c in cs))
+                   if sum(w * xi for w, xi in zip(ws, x)) % h == 0)
+    order = lcm(*cs)
+    gens, span = [], {(0,) * len(cs)}
+    for x in split:
+        if x not in span:
+            span = {tuple((a + j * b) % c for a, b, c in zip(y, x, cs))
+                    for y in span for j in range(order)}
+            gens.append(x)
+    assert len(span) == len(split)
+    return gens
+
+
+def test_split_generators_match_greedy_span():
+    rng = random.Random(31)
+    for _ in range(400):
+        N = rng.choice([4, 6, 8, 12, 16, 24, 30])
+        divs = [c for c in range(2, N + 1) if N % c == 0]
+        cs = [rng.choice(divs) for _ in range(rng.randrange(1, 4))]
+        Nprime = lcm(*cs)
+        ws = [rng.randrange(1, 5) * Nprime // c for c in cs]
+        h = rng.choice([d for d in range(1, Nprime + 1) if Nprime % d == 0])
+        assert _split_generators(cs, ws, h) == _greedy_span_generators(cs, ws, h), (cs, ws, h)
+
+
+def _random_tame_instance(rng, ctxs, irr):
+    """A radical extension over a random field of ctxs with a lattice of at most 2^12.
+
+    Residue fields at infinity stay at most 2^12 too, since finding a root
+    in a large residue tower is slow.
+    """
+    while True:
+        q = rng.choice(sorted(ctxs))
+        ctx = ctxs[q]
+        n = rng.choice([d for d in range(2, q) if (q - 1) % d == 0] + [rng.randrange(2, 2 * q)])
+        if n % ctx.p == 0:
+            continue
+        Ps = rng.sample(irr[q], rng.randrange(1, 5))
+        D = FqPoly.const(ctx, ctx.one())
+        for P in Ps:
+            D = D * P ** rng.randrange(1, n)
+        try:
+            K = radical_extension(ctx, n, ctx.from_int(rng.randrange(1, q)), D,
+                                  rng.choice([1, 1, 2]))
+        except DomainError:
+            continue
+        prof = build_profile(K)
+        comps = build_F0(prof)
+        if (prod(pl.c_P for pl in comps.places) <= 1 << 12
+                and max(q ** t for _, t in prof.infinity) <= 1 << 12):
+            return prof, comps
+
+
+def test_find_F_matches_lattice_enumeration():
+    rng = random.Random(20261018)
+    ctxs = {q: make_context(*pm) for q, pm in
+            {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1), 25: (5, 2)}.items()}
+    irr = {q: irreducibles(ctx, 1 if q > 9 else 2) for q, ctx in ctxs.items()}
+    cases = [_random_tame_instance(rng, ctxs, irr) for _ in range(150)]
+    # a residue tower: X^4 - 3 is irreducible over F_17, so the residue field is F_17^4
+    tower = build_profile(K_of(17, 1, 16, 3, "T*(T+1)^2*(T+2)"))
+    assert [t for _, t in tower.infinity] == [4]
+    cases.append((tower, build_F0(tower)))
+    seen = set()
+    for prof, comps in cases:
+        got, want = find_F(prof, comps), enumerate_F(prof, comps)
+        assert got == want, prof.radical
+        assert (got.F.render() if got.F else None) == (want.F.render() if want.F else None)
+        seen.add((prof.s, got.F is not None and got.cprime_exact not in (1, got.c_inf)))
+    # both base-constant degrees, and proper split subgroups that are neither F_0 nor F_0^+
+    assert {(1, True), (2, True)} <= seen
+
+
+def test_find_F_large_lattice_is_determined():
+    # q = 25, n = 24: a lattice of 24^4 = 331776 elements
+    ctx = make_context(5, 2)
+    K = radical_extension(ctx, 24, ctx.one(), parse_poly(ctx, "T*(T+1)*(T+2)*(T^2+T+g)"))
+    prof = build_profile(K)
+    comps = build_F0(prof)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = find_F(prof, comps)
+        text = render_report(genus_report(K))
+    assert got == enumerate_F(prof, comps)
+    assert got.cprime_exact == 12
+    F = ("k((T + 2)^(1/12), (T^2 + 2*T)^(1/24), (T^2 + 3*T + 2)^(1/24), "
+         "(T^2 + T + g)^(1/24))")
+    assert got.F.render() == F
+    assert f"\nF  = {F}\n" in text
 
 
 # -- wild part --
@@ -449,9 +568,11 @@ def test_prime_degree_case_table():
 def test_prime_degree_case_rejections():
     for args in [(3, 7, 0, True), (3, 3, 2, True), (3, 2, 2, True),
                  (6, 7, 2, True), (11, 5, 2, True), (3, 4, 2, True),
-                 (2 ** 17, 7, 2, True), (3, 65537, 2, True), (3, 2 ** 61 - 1, 2, True)]:
+                 (2 ** 17, 7, 2, True), (3, 65537, 2, True), (3, 2 ** 61 - 1, 2, True),
+                 (2, 7, 10 ** 8, False)]:
         with pytest.raises(DomainError):
             prime_degree_case(*args)
+    assert prime_degree_case(2, 7, 64, False) == (7 ** 64, 7)
 
 
 def test_prime_power_case_square_root_of_minus_T():
@@ -506,7 +627,7 @@ def test_prime_power_random_consistency():
         K = radical_extension(ctx, n, ctx.from_int(rng.randrange(1, q)), D)
         pp = prime_power_case(K)
         prof = build_profile(K)
-        comps = find_F(K, build_F0(prof))
+        comps = find_F(prof, build_F0(prof))
         assert pp.delta <= pp.d
         assert pp.e_inf == prof.e_inf == l ** (nu - pp.d)
         # two independent paths to c_inf: the lcm over places and l^(nu-delta)

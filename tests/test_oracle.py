@@ -23,11 +23,12 @@ from ffgenus.oracle import (
     OracleConfig,
     carlitz_compose_check,
     naive_factor,
+    newton_polygon_e,
     splitting_at_finite,
     t0_root_degrees,
     unit_count,
 )
-from ffgenus.ramify import newton_polygon_e, radical_extension, ram_finite, t0_radical
+from ffgenus.ramify import radical_extension, ram_finite, t0_radical
 
 C2 = make_context(2, 1)
 C3 = make_context(3, 1)

@@ -15,11 +15,9 @@ from ffgenus.ffpoly import (
     make_context,
     parse_poly,
 )
+from ffgenus.oracle import newton_polygon, newton_polygon_e
 from ffgenus.ramify import (
-    abhyankar_lcm,
     build_profile,
-    newton_polygon,
-    newton_polygon_e,
     p_adic_val,
     profile_from_dict,
     radical_extension,
@@ -303,18 +301,7 @@ def test_profile_from_dict_accepts_degrees_at_the_caps():
     assert (prof.s, prof.finite[0].deg, prof.infinity) == (64, 64, ((1, 64),))
 
 
-# -- composition and polygons --
-
-
-def test_abhyankar_lcm():
-    assert abhyankar_lcm(2, 3, True) == 6
-    assert abhyankar_lcm(7, 1, True) == 7
-    assert abhyankar_lcm(4, 4, True) == 4
-    assert abhyankar_lcm(abhyankar_lcm(2, 3, True), 4, True) == abhyankar_lcm(2, abhyankar_lcm(3, 4, True), True)
-    with pytest.raises(DomainError):
-        abhyankar_lcm(3, 9, False)
-    with pytest.raises(DomainError):
-        abhyankar_lcm(0, 2, True)
+# -- Newton polygons (the oracle of criterion 5) --
 
 
 def test_newton_polygon_e_fixed():
