@@ -10,7 +10,7 @@ subfields F_P of k(Lambda_P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ffpoly import DomainError, FqPoly, factor, is_irreducible, render_poly
@@ -136,8 +136,9 @@ def euler_phi(M):
     return out
 
 
-@dataclass(frozen=True)
-class CyclotomicDatum:
+class CyclotomicDatum(namedtuple(
+        "CyclotomicDatum",
+        "M phi inf_ram inf_split_count real_subfield_index")):
     """Numeric shape of k(Lambda_M)/k at the infinite prime.
 
     P_inf ramifies with index q-1 and splits into phi/(q-1) primes of
@@ -145,11 +146,7 @@ class CyclotomicDatum:
     has index q-1.
     """
 
-    M: FqPoly
-    phi: int
-    inf_ram: int
-    inf_split_count: int
-    real_subfield_index: int
+    __slots__ = ()
 
 
 def cyclo_datum(M):
@@ -162,8 +159,7 @@ def cyclo_datum(M):
     return CyclotomicDatum(M, phi, q - 1, phi // (q - 1), q - 1)
 
 
-@dataclass(frozen=True)
-class SubfieldFP:
+class SubfieldFP(namedtuple("SubfieldFP", "P c e_inf")):
     """The unique degree-c subfield of k(Lambda_P)/k.
 
     P is fully ramified in it (exponent c); e_inf is the ramification
@@ -171,9 +167,7 @@ class SubfieldFP:
     F_q* in the quotient of order c.
     """
 
-    P: FqPoly
-    c: int
-    e_inf: int
+    __slots__ = ()
 
 
 def subfield_FP(P, c):

@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import random
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 MAX_Q = 1 << 16
@@ -282,6 +282,23 @@ def _mulmod_digits(a, b, p, mod):
     return out
 
 
+def _mulmod_bits(a, b, m, poly):
+    """a*b in F_2[X] mod poly, with bit i of a residue the coefficient of X^i.
+
+    Shift-and-add over the bits of b: each shift of a that reaches X^m is
+    cleared by one XOR with poly (the modulus with its X^m bit).
+    """
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return out
+
+
 def _flat_tables(p, m, modulus):
     """Generator index and the exp/log/Zech tables of F_{p^m} over `modulus`.
 
@@ -289,23 +306,35 @@ def _flat_tables(p, m, modulus):
     exp[k] is the index of g^k for 0 <= k < q - 1 and log inverts it
     (log[0] is unused). For odd p and m > 1, zech[k] = log(1 + g^k), or
     -1 where 1 + g^k = 0. Tables are arrays of machine ints, so q = 2^16
-    costs a few hundred KB.
+    costs a few hundred KB. For p = 2 an index is its own bit vector of
+    coefficients, and products are shifted XORs; odd p works on base-p
+    digit lists.
     """
     q = p ** m
     n = q - 1
-    one = _digits(1, p, m)
     primes = list(factor_int(n))
+    if p == 2:
+        poly = sum((c << j for j, c in enumerate(modulus)), 1 << m)
+        one = 1
+
+        def mul(a, b):
+            return _mulmod_bits(a, b, m, poly)
+    else:
+        one = _digits(1, p, m)
+
+        def mul(a, b):
+            return _mulmod_digits(a, b, p, modulus)
 
     def power(a, e):
         out = one
         for bit in bin(e)[2:]:
-            out = _mulmod_digits(out, out, p, modulus)
+            out = mul(out, out)
             if bit == "1":
-                out = _mulmod_digits(out, a, p, modulus)
+                out = mul(out, a)
         return out
 
     for gen in range(1, q):
-        gd = _digits(gen, p, m)
+        gd = gen if p == 2 else _digits(gen, p, m)
         if all(power(gd, n // r) != one for r in primes):
             break
     exp = array("H", [0]) * n
@@ -314,6 +343,11 @@ def _flat_tables(p, m, modulus):
         for k in range(n):
             exp[k] = x
             x = x * gen % p
+    elif p == 2:
+        x = 1
+        for k in range(n):
+            exp[k] = x
+            x = _mulmod_bits(x, gen, m, poly)
     else:
         while not gd[-1]:
             gd.pop()
@@ -703,12 +737,10 @@ def is_irreducible(f):
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "unit factors")):
     """unit * prod(poly^mult); factors monic irreducible, canonically sorted."""
 
-    unit: FqElem
-    factors: tuple
+    __slots__ = ()
 
     def expand(self):
         ctx = self.unit.ctx

@@ -21,7 +21,7 @@ lists plus a constants degree, so equality is decidable by comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm, prod
 
@@ -44,8 +44,7 @@ from .ramify import build_profile, p_adic_val
 # -- symbolic field expressions --
 
 
-@dataclass(frozen=True)
-class RadicalGen:
+class RadicalGen(namedtuple("RadicalGen", "e unit sign poly degree")):
     """One Kummer generator, the e-th root of unit * poly.
 
     degree is [k(root) : k]; it equals e except for generators kept in
@@ -53,11 +52,7 @@ class RadicalGen:
     sign is +-1 when the unit is +-1 and 0 for a general constant.
     """
 
-    e: int
-    unit: str
-    sign: int
-    poly: str
-    degree: int
+    __slots__ = ()
 
     def render(self):
         if self.sign == 1:
@@ -82,8 +77,7 @@ class RadicalGen:
         return d
 
 
-@dataclass(frozen=True)
-class CycloGen:
+class CycloGen(namedtuple("CycloGen", "poly place_deg degree")):
     """A cyclic subfield of the P-torsion field, named by degree over k.
 
     Used when the subfield has no Kummer radical model over k (its degree
@@ -91,9 +85,7 @@ class CycloGen:
     (poly is None and only the place degree is known).
     """
 
-    poly: object
-    place_deg: int
-    degree: int
+    __slots__ = ()
 
     def render(self):
         if self.poly is not None:
@@ -104,12 +96,10 @@ class CycloGen:
         return {"cyclo": self.poly, "place_deg": self.place_deg, "degree": self.degree}
 
 
-@dataclass(frozen=True)
-class OpaqueGen:
+class OpaqueGen(namedtuple("OpaqueGen", "name degree")):
     """A component field known only by name and (optionally) its degree."""
 
-    name: str
-    degree: object
+    __slots__ = ()
 
     def render(self):
         if self.degree is None:
@@ -120,8 +110,7 @@ class OpaqueGen:
         return {"name": self.name, "degree": self.degree}
 
 
-@dataclass(frozen=True)
-class FieldExpr:
+class FieldExpr(namedtuple("FieldExpr", "q radicals cyclo opaque constants_deg")):
     """A composite field k(generators) * F_{q^constants_deg}.
 
     constants_deg None means the expression carries an extension of
@@ -130,11 +119,7 @@ class FieldExpr:
     equal structurally and serialize to identical JSON.
     """
 
-    q: int
-    radicals: tuple
-    cyclo: tuple
-    opaque: tuple
-    constants_deg: object
+    __slots__ = ()
 
     def render(self):
         adjoined = [g.render() for g in self.radicals + self.cyclo]
@@ -176,7 +161,7 @@ def adjoin_constants(expr, t):
         raise DomainError("constants degree must be a positive integer")
     if expr.constants_deg is None:
         return expr
-    return replace(expr, constants_deg=lcm(expr.constants_deg, t))
+    return expr._replace(constants_deg=lcm(expr.constants_deg, t))
 
 
 def _radical_gen(e, unit, poly, degree=None):
@@ -212,8 +197,7 @@ def estar_interval(q, e_P, degP):
     return gcd(e_P, (q ** degP - 1) // (q - 1)), e_P
 
 
-@dataclass(frozen=True)
-class PlaceComponent:
+class PlaceComponent(namedtuple("PlaceComponent", "poly deg e_P e0 u_P c_P e_inf_FP gen")):
     """Genus-field datum of one ramified finite place.
 
     gen is the generator of F_P: a Kummer radical when c_P | q - 1, a
@@ -221,14 +205,7 @@ class PlaceComponent:
     the ramification index of the infinite prime in F_P/k.
     """
 
-    poly: object
-    deg: int
-    e_P: int
-    e0: int
-    u_P: int
-    c_P: int
-    e_inf_FP: int
-    gen: object
+    __slots__ = ()
 
     def json(self):
         return {"poly": self.poly, "deg": self.deg, "e": self.e_P,
@@ -237,8 +214,9 @@ class PlaceComponent:
                 "gen": self.gen.json() if self.gen is not None else None}
 
 
-@dataclass(frozen=True)
-class GenusComponents:
+class GenusComponents(namedtuple(
+        "GenusComponents",
+        "q places c_inf e_inf cprime_bound F0 F0_plus_deg cprime_exact F t0 u_status")):
     """F_0 = product of the F_P, with its infinite-prime bookkeeping.
 
     c_inf = lcm of the per-place e_inf_FP (the ramification of the infinite
@@ -249,17 +227,7 @@ class GenusComponents:
     records whether the upper constant exponent was pinned to t_0.
     """
 
-    q: int
-    places: tuple
-    c_inf: int
-    e_inf: int
-    cprime_bound: int
-    F0: FieldExpr
-    F0_plus_deg: int
-    cprime_exact: object
-    F: object
-    t0: int
-    u_status: str
+    __slots__ = ()
 
 
 def build_F0(profile):
@@ -437,7 +405,7 @@ def find_F(profile, comps):
     K = profile.radical
     q = K.ctx.q
     if comps.c_inf == 1:
-        return replace(comps, cprime_exact=1, F=comps.F0)
+        return comps._replace(cprime_exact=1, F=comps.F0)
     ram = [pl for pl in comps.places if pl.c_P > 1]
     if any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
@@ -463,7 +431,7 @@ def find_F(profile, comps):
 
     gens = [_reduce_generator(K.ctx, x, Ps, mus, Nprime)
             for x in _split_generators(cs, ws, h)]
-    return replace(comps, cprime_exact=cprime, F=field_expr(q, gens, 1))
+    return comps._replace(cprime_exact=cprime, F=field_expr(q, gens, 1))
 
 
 def _bound_only(comps):
@@ -471,8 +439,8 @@ def _bound_only(comps):
     if comps.cprime_bound == 1:
         if comps.F0_plus_deg == 1:
             # [F : k] = c'_inf * [F_0 cap R^+ : k] = 1 forces F = k
-            return replace(comps, cprime_exact=1, F=field_expr(comps.q, (), 1))
-        return replace(comps, cprime_exact=1)
+            return comps._replace(cprime_exact=1, F=field_expr(comps.q, (), 1))
+        return comps._replace(cprime_exact=1)
     return comps
 
 
@@ -509,8 +477,9 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
 # -- wild part --
 
 
-@dataclass(frozen=True)
-class WildBounds:
+class WildBounds(namedtuple(
+        "WildBounds",
+        "wild_places finite_wild_degree_bound has_infinite_component tame_case_constants_only")):
     """Degree bounds for the wild part of the genus field.
 
     Each wild place P with e_P = p^{u_P} * e0 contributes a cyclic p-piece
@@ -518,10 +487,7 @@ class WildBounds:
     prime is tame, the whole wild part is an extension of constants.
     """
 
-    wild_places: tuple
-    finite_wild_degree_bound: int
-    has_infinite_component: bool
-    tame_case_constants_only: bool
+    __slots__ = ()
 
     def json(self):
         return {"wild_places": [{"poly": poly, "deg": deg, "u": u}
@@ -543,8 +509,9 @@ def wild_bounds(profile):
 # -- reports --
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(namedtuple(
+        "GenusReport",
+        "profile components wild t0 lower upper exact exact_field conjectural exactness_reason")):
     """Sandwich bounds, and the exact genus field when certified.
 
     lower and upper always hold; exact_field is set (and equals lower) when
@@ -556,16 +523,7 @@ class GenusReport:
     constants degree of the expression (s divides t_0).
     """
 
-    profile: object
-    components: GenusComponents
-    wild: WildBounds
-    t0: int
-    lower: FieldExpr
-    upper: FieldExpr
-    exact: bool
-    exact_field: object
-    conjectural: object
-    exactness_reason: object
+    __slots__ = ()
 
 
 def _constants_collapse(K, comps):
@@ -622,7 +580,7 @@ def genus_report(K):
         lower = field_expr(q, [k_gen] + split_part, t0)
     conjectural = lower if (comps.F is not None or exact) else None
     if exact:
-        comps = replace(comps, u_status="equals_t0")
+        comps = comps._replace(u_status="equals_t0")
         upper = exact_field = lower
     else:
         upper = field_expr(
@@ -650,7 +608,7 @@ def genus_report_abstract(profile):
     k_gen = OpaqueGen("K", None)
     f0_gens = list(comps.F0.radicals + comps.F0.cyclo)
     if comps.c_inf == 1:
-        comps = replace(comps, cprime_exact=1, F=comps.F0)
+        comps = comps._replace(cprime_exact=1, F=comps.F0)
     else:
         comps = _bound_only(comps)
     exact = comps.c_inf == 1 and wild.tame_case_constants_only
@@ -661,7 +619,7 @@ def genus_report_abstract(profile):
     else:
         low_gens = []
     if exact:
-        comps = replace(comps, u_status="equals_t0")
+        comps = comps._replace(u_status="equals_t0")
         lower = field_expr(q, [k_gen] + low_gens, t0)
         upper = exact_field = lower
     else:
@@ -703,8 +661,9 @@ def prime_degree_case(q, l, t, K_in_Rplus):
     return l ** t, l
 
 
-@dataclass(frozen=True)
-class PrimePowerProfile:
+class PrimePowerProfile(namedtuple(
+        "PrimePowerProfile",
+        "l nu a dprime d delta m e_inf c_inf cprime_bound t0 geometric gens")):
     """Closed-form data for K = k((gamma*D)^(1/l^nu)) with l^nu | q - 1.
 
     a holds v_l(alpha_i) per prime factor of D and dprime the valuations
@@ -714,19 +673,7 @@ class PrimePowerProfile:
     with (-1)^{deg D} gamma an l^d-th power of F_{q^{l^m}}.
     """
 
-    l: int
-    nu: int
-    a: tuple
-    dprime: tuple
-    d: int
-    delta: int
-    m: int
-    e_inf: int
-    c_inf: int
-    cprime_bound: int
-    t0: int
-    geometric: bool
-    gens: tuple
+    __slots__ = ()
 
 
 def prime_power_case(K):
@@ -753,7 +700,8 @@ def prime_power_case(K):
     m = 0
     while ((q ** (l ** m) - 1) // gcd(ld, q ** (l ** m) - 1)) % ord_beta != 0:
         m += 1
-        assert m <= d
+        if m > d:  # the l^d-th roots of beta lie in F_{q^(l^d)}
+            raise AssertionError(f"t0 exponent m = {m} exceeds d = {d}")
     gens = []
     for (P, _), ai in zip(fac, a):
         sign = (-K.ctx.one()) ** P.degree

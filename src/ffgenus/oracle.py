@@ -15,8 +15,7 @@ what it claims.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
@@ -43,19 +42,22 @@ from .genus import (
 MAX_ENUM = 1 << 20
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "max_q max_deg seed")):
     """Enumeration caps and the seed used by deterministic random sweeps."""
 
-    max_q: int = 81
-    max_deg: int = 16
-    seed: int = 20260815
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.max_q <= MAX_Q:
-            raise DomainError(f"max_q = {self.max_q} outside [2, {MAX_Q}]")
-        if not 1 <= self.max_deg <= MAX_POLY_DEG:
-            raise DomainError(f"max_deg = {self.max_deg} outside [1, {MAX_POLY_DEG}]")
+    def __new__(cls, max_q=81, max_deg=16, seed=20260815):
+        if not 2 <= max_q <= MAX_Q:
+            raise DomainError(f"max_q = {max_q} outside [2, {MAX_Q}]")
+        if not 1 <= max_deg <= MAX_POLY_DEG:
+            raise DomainError(f"max_deg = {max_deg} outside [1, {MAX_POLY_DEG}]")
+        return super().__new__(cls, max_q, max_deg, seed)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -209,7 +211,8 @@ def root_field_degree(gamma, d):
     while qb != 1 % target:
         b += 1
         qb = (qb * q) % target
-        assert b <= target
+        if b > target:
+            raise AssertionError(f"q = {q} has no multiplicative order modulo {target}")
     return b
 
 
@@ -236,7 +239,8 @@ def t0_root_degrees(gamma, d, config=None):
     ext = ctx.extension(b)
     glift = gamma if ext is ctx else ext.lift(gamma)
     roots = [x for x in ext.elements() if x ** d == glift and not x.is_zero()]
-    assert len(roots) == d
+    if len(roots) != d:
+        raise AssertionError(f"found {len(roots)} {d}-th roots of gamma, expected {d}")
     degs = []
     for r in roots:
         j, y = 1, r ** ctx.q
@@ -282,19 +286,20 @@ def splitting_at_finite(K, P, config=None):
     coeffs = [-c] + [ext.zero()] * (K.n - 1) + [ext.one()]
     fact = naive_factor(FqPoly(ext, tuple(coeffs)), cfg)
     degs = tuple(sorted(g.degree for g, mult in fact.factors for _ in range(mult)))
-    assert sum(degs) == K.n
+    if sum(degs) != K.n:
+        raise AssertionError(f"residue factor degrees {degs} do not sum to n = {K.n}")
     return 1, degs
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", "vertices slopes")):
     """Lower convex hull of (exponent, valuation) points; slopes increase."""
 
-    vertices: tuple
-    slopes: tuple
+    __slots__ = ()
 
 
 def newton_polygon(points):
+    from fractions import Fraction  # imported by its only user, off the start-up path
+
     pts = sorted(set(points))
     if len(pts) < 2:
         raise DomainError("a polygon needs at least two distinct points")
@@ -310,7 +315,8 @@ def newton_polygon(points):
     slopes = tuple(
         Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0])
         for i in range(len(hull) - 1))
-    assert all(slopes[i] <= slopes[i + 1] for i in range(len(slopes) - 1))
+    if any(slopes[i] > slopes[i + 1] for i in range(len(slopes) - 1)):
+        raise AssertionError(f"hull slopes {slopes} do not increase")
     return NewtonPolygon(tuple(hull), slopes)
 
 
@@ -325,7 +331,8 @@ def newton_polygon_e(n, alpha):
     if alpha == 0:
         return 1
     poly = newton_polygon([(0, alpha), (n, 0)])
-    assert len(poly.slopes) == 1
+    if len(poly.slopes) != 1:
+        raise AssertionError(f"polygon of X^n - u has {len(poly.slopes)} segments, not 1")
     return poly.slopes[0].denominator
 
 
@@ -341,7 +348,7 @@ def enumerate_F(profile, comps):
     K = profile.radical
     q = K.ctx.q
     if comps.c_inf == 1:
-        return replace(comps, cprime_exact=1, F=comps.F0)
+        return comps._replace(cprime_exact=1, F=comps.F0)
     ram = [pl for pl in comps.places if pl.c_P > 1]
     if any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
@@ -382,12 +389,17 @@ def enumerate_F(profile, comps):
             split_set.add(x)
         if w_plus(dw):
             plus_set.add(x)
-    assert plus_set <= split_set
+    if not plus_set <= split_set:
+        raise AssertionError("an element split at plus does not split at infinity")
     # the two computation paths for c_inf = [F_0 : F_0 meet R+] must agree
-    assert size == len(plus_set) * comps.c_inf
-    assert len(split_set) % len(plus_set) == 0
+    if size != len(plus_set) * comps.c_inf:
+        raise AssertionError(f"the split-at-plus subgroup ({len(plus_set)} of {size}) "
+                             f"does not give c_inf = {comps.c_inf}")
+    if len(split_set) % len(plus_set):
+        raise AssertionError("the split-at-plus subgroup does not divide the split subgroup")
     cprime = len(split_set) // len(plus_set)
-    assert comps.cprime_bound % cprime == 0
+    if comps.cprime_bound % cprime:
+        raise AssertionError(f"c'_inf = {cprime} does not divide its bound {comps.cprime_bound}")
 
     gens = []
     span = {(0,) * len(cs)}
@@ -398,6 +410,7 @@ def enumerate_F(profile, comps):
         span = {tuple((si + j * xi) % ci for si, xi, ci in zip(s, x, cs))
                 for s in span for j in range(ordx)}
         gens.append(_reduce_generator(K.ctx, x, Ps, mus, Nprime))
-    assert len(span) == len(split_set)
+    if len(span) != len(split_set):
+        raise AssertionError("the greedy generators do not span the split subgroup")
     F = field_expr(q, gens, 1)
-    return replace(comps, cprime_exact=cprime, F=F)
+    return comps._replace(cprime_exact=cprime, F=F)

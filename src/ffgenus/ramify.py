@@ -12,7 +12,7 @@ genus-field bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from math import gcd
 
@@ -21,7 +21,6 @@ from .ffpoly import (
     MAX_Q,
     MAX_TOWER_DEG,
     DomainError,
-    Factorization,
     FqElem,
     FqPoly,
     factor,
@@ -41,8 +40,7 @@ def p_adic_val(l, n):
     return v
 
 
-@dataclass(frozen=True)
-class RadicalExtension:
+class RadicalExtension(namedtuple("RadicalExtension", "ctx n gamma D D_factors s")):
     """The datum K = k((gamma*D)^(1/n)), with F_{q^s} already adjoined.
 
     D is monic and n-th-power free (every exponent in its factorization is
@@ -50,12 +48,7 @@ class RadicalExtension:
     k, so [K : k(F_{q^s})] = n. s = 1 is the plain radical extension.
     """
 
-    ctx: object
-    n: int
-    gamma: FqElem
-    D: FqPoly
-    D_factors: Factorization
-    s: int
+    __slots__ = ()
 
 
 def radical_extension(ctx, n, gamma, D, s=1):
@@ -141,8 +134,7 @@ def t0_radical(gamma, d, s=1):
     return reduce(gcd, (s * h.degree for h in _infinity_factorization(gamma, d, s)))
 
 
-@dataclass(frozen=True)
-class FinitePlace:
+class FinitePlace(namedtuple("FinitePlace", "deg e_list e_P u_P e0 P", defaults=(None,))):
     """Ramification record of one finite place.
 
     e_list holds the exponents of the primes above P; e_P is their gcd,
@@ -150,16 +142,13 @@ class FinitePlace:
     polynomial model exists, otherwise only the degree is known.
     """
 
-    deg: int
-    e_list: tuple
-    e_P: int
-    u_P: int
-    e0: int
-    P: FqPoly = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(namedtuple(
+        "RamificationProfile",
+        "q p s finite infinity e_inf t0 geometric radical infinity_factors",
+        defaults=(None, ()))):
     """Per-place ramification data of some separable K/k.
 
     finite lists only places with a ramified prime above them; infinity
@@ -169,16 +158,7 @@ class RamificationProfile:
     over F_{q^s} that the infinity pairs were read from, in the same order.
     """
 
-    q: int
-    p: int
-    s: int
-    finite: tuple
-    infinity: tuple
-    e_inf: int
-    t0: int
-    geometric: object
-    radical: RadicalExtension = None
-    infinity_factors: tuple = ()
+    __slots__ = ()
 
 
 def _geometric_flag(K, alphas):

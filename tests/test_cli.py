@@ -210,8 +210,14 @@ EXACT [F_equals_F0]: K_ge = k((2*(T^2 + T))^(1/1000000000000000003))
 
 
 def test_import_leaves_sympy_unloaded():
-    code = "import sys, ffgenus, ffgenus.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+    # none of these is needed at run time, and each costs start-up time on every call
+    code = ("import sys, ffgenus, ffgenus.cli\n"
+            "print(sorted(m for m in ('sympy', 'dataclasses', 'inspect', 'fractions')\n"
+            "             if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -238,7 +238,7 @@ def _check_kernel(ctx):
         assert a.multiplicative_order() == R.order(va)
 
 
-@pytest.mark.parametrize("p,m", _prime_powers(256) + [(2, 12)])
+@pytest.mark.parametrize("p,m", _prime_powers(256) + [(2, 12), (2, 16)])
 def test_flat_kernel_matches_polynomial_basis(p, m):
     _check_kernel(make_context(p, m))
 

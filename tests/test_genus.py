@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from math import gcd, lcm, prod
 
 import pytest
@@ -254,22 +253,25 @@ def test_find_F_cross_checks_c_inf():
     prof = build_profile(K_of(5, 1, 8, 1, "T"))
     comps = build_F0(prof)
     with pytest.raises(AssertionError, match="c_inf"):
-        find_F(prof, replace(comps, c_inf=2 * comps.c_inf))
+        find_F(prof, comps._replace(c_inf=2 * comps.c_inf))
+    with pytest.raises(AssertionError, match="c_inf"):
+        enumerate_F(prof, comps._replace(c_inf=2 * comps.c_inf))
     code = (
-        "from dataclasses import replace\n"
         "from ffgenus import make_context, parse_poly, radical_extension, build_profile\n"
         "from ffgenus.genus import build_F0, find_F\n"
+        "from ffgenus.oracle import enumerate_F\n"
         "ctx = make_context(5, 1)\n"
         "prof = build_profile(radical_extension(ctx, 8, ctx.one(), parse_poly(ctx, 'T')))\n"
         "comps = build_F0(prof)\n"
-        "try:\n"
-        "    find_F(prof, replace(comps, c_inf=2 * comps.c_inf))\n"
-        "except AssertionError:\n"
-        "    print('raised')\n")
+        "for fn in (find_F, enumerate_F):\n"
+        "    try:\n"
+        "        fn(prof, comps._replace(c_inf=2 * comps.c_inf))\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
+    assert proc.stdout == "raised\nraised\n"
 
 
 def _greedy_span_generators(cs, ws, h):
@@ -486,7 +488,7 @@ def test_report_invariant_under_factor_reordering():
         K = K_of(*args)
         assert len(K.D_factors.factors) > 1
         rev = Factorization(K.D_factors.unit, tuple(reversed(K.D_factors.factors)))
-        r1, r2 = genus_report(K), genus_report(replace(K, D_factors=rev))
+        r1, r2 = genus_report(K), genus_report(K._replace(D_factors=rev))
         assert r1.lower == r2.lower and r1.upper == r2.upper
         assert r1.exact == r2.exact and r1.exact_field == r2.exact_field
         assert r1.components.cprime_exact == r2.components.cprime_exact

@@ -262,3 +262,6 @@ def test_config_validation():
         OracleConfig(max_deg=0)
     with pytest.raises(DomainError):
         OracleConfig(max_q=1 << 17)
+    assert OracleConfig()._replace(max_deg=3) == OracleConfig(81, 3)
+    with pytest.raises(DomainError):
+        OracleConfig()._replace(max_deg=0)
