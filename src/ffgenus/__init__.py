@@ -24,7 +24,6 @@ from .genus import (
     report_json,
 )
 from .oracle import (
-    OracleConfig,
     carlitz_compose_check,
     naive_factor,
     splitting_at_finite,
@@ -43,7 +42,7 @@ from .ramify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "FqPoly", "OracleConfig", "ParseError",
+    "DomainError", "FqPoly", "ParseError",
     "adjoin_constants", "build_profile", "carlitz_action",
     "carlitz_compose_check", "cyclo_datum", "estar_interval", "euler_phi",
     "factor", "genus_report", "genus_report_abstract", "is_irreducible",

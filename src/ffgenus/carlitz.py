@@ -89,7 +89,7 @@ class CarlitzPoly:
         return f"CarlitzPoly({render_carlitz(self)!r})"
 
 
-def render_carlitz(rho, var="X"):
+def render_carlitz(rho):
     if not rho.coeffs:
         return "0"
     q = rho.ctx.q
@@ -98,7 +98,7 @@ def render_carlitz(rho, var="X"):
         c = rho.coeffs[j]
         if c.is_zero():
             continue
-        xs = var if j == 0 else f"{var}^{q ** j}"
+        xs = "X" if j == 0 else f"X^{q ** j}"
         cs = render_poly(c)
         terms.append(xs if cs == "1" else f"({cs})*{xs}")
     return " + ".join(terms)

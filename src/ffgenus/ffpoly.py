@@ -1039,7 +1039,7 @@ def render_element(a):
     return "g" if k == 1 else f"g^{k}"
 
 
-def render_poly(f, var="T"):
+def render_poly(f):
     """Canonical polynomial string, highest degree first."""
     if f.is_zero():
         return "0"
@@ -1052,6 +1052,6 @@ def render_poly(f, var="T"):
         if i == 0:
             terms.append(cs)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "T" if i == 1 else f"T^{i}"
             terms.append(xs if cs == "1" else f"{cs}*{xs}")
     return " + ".join(terms)

@@ -25,7 +25,6 @@ from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm, prod
 
-from .carlitz import subfield_FP
 from .ffpoly import (
     MAX_POLY_DEG,
     MAX_Q,
@@ -235,17 +234,16 @@ def build_F0(profile):
 
     Wild places contribute through their tame part e0 (the component degree
     c_P is insensitive to the p-part of e_P); the wild data itself is
-    reported separately by wild_bounds.
+    reported separately by wild_bounds. e_inf_FP is the order of the image
+    of the inertia group F_q* at infinity in the degree-c_P quotient of the
+    cyclic Gal(k(Lambda_P)/k), as in carlitz.subfield_FP.
     """
     q = profile.q
     places = []
     gens = []
     for pl in profile.finite:
-        c = gcd(pl.e0, q ** pl.deg - 1)
-        if pl.P is not None:
-            e_inf_fp = subfield_FP(pl.P, c).e_inf
-        else:
-            e_inf_fp = (q - 1) // gcd(q - 1, (q ** pl.deg - 1) // c)
+        c = c_P(q, pl.e_P, pl.deg)
+        e_inf_fp = (q - 1) // gcd(q - 1, (q ** pl.deg - 1) // c)
         gen = None
         if c > 1:
             if pl.P is None:

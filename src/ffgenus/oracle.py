@@ -21,8 +21,6 @@ from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
 from .ffpoly import (
-    MAX_POLY_DEG,
-    MAX_Q,
     DomainError,
     Factorization,
     FqPoly,
@@ -40,43 +38,24 @@ from .genus import (
 )
 
 MAX_ENUM = 1 << 20
+MAX_ORACLE_Q = 81  # largest base field (or residue field) an oracle enumerates
+MAX_ORACLE_DEG = 16  # largest polynomial degree an oracle factors by trial division
+SWEEP_SEED = 20260815  # seed of the deterministic random sweeps
 
 
-class OracleConfig(namedtuple("OracleConfig", "max_q max_deg seed")):
-    """Enumeration caps and the seed used by deterministic random sweeps."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_q=81, max_deg=16, seed=20260815):
-        if not 2 <= max_q <= MAX_Q:
-            raise DomainError(f"max_q = {max_q} outside [2, {MAX_Q}]")
-        if not 1 <= max_deg <= MAX_POLY_DEG:
-            raise DomainError(f"max_deg = {max_deg} outside [1, {MAX_POLY_DEG}]")
-        return super().__new__(cls, max_q, max_deg, seed)
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make: validate there too
-        return cls(*fields)
-
-
-DEFAULT_CONFIG = OracleConfig()
-
-
-def naive_factor(f, config=None):
+def naive_factor(f):
     """Factorization by trial division, candidates in ascending degree.
 
     Divisors are extracted smallest first, so everything extracted is
     irreducible and whatever survives past degree deg/2 is too.
     """
-    cfg = config or DEFAULT_CONFIG
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     ctx = f.ctx
-    if ctx.q > cfg.max_q:
-        raise DomainError(f"field size {ctx.q} exceeds oracle cap {cfg.max_q}")
-    if f.degree > cfg.max_deg:
-        raise DomainError(f"degree {f.degree} exceeds oracle cap {cfg.max_deg}")
+    if ctx.q > MAX_ORACLE_Q:
+        raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
+    if f.degree > MAX_ORACLE_DEG:
+        raise DomainError(f"degree {f.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
     unit = f.leading
     work = f.monic()
     found = []
@@ -98,15 +77,14 @@ def naive_factor(f, config=None):
     return Factorization(unit, tuple(found))
 
 
-def unit_count(M, config=None):
+def unit_count(M):
     """Order of (F_q[T]/M)^* counted residue by residue via gcd."""
-    cfg = config or DEFAULT_CONFIG
     if M.is_zero() or M.degree < 1:
         raise DomainError("modulus must be nonconstant")
     ctx = M.ctx
-    if ctx.q > min(9, cfg.max_q):
+    if ctx.q > 9:
         raise DomainError(f"field size {ctx.q} exceeds the unit count cap")
-    if M.degree > min(3, cfg.max_deg):
+    if M.degree > 3:
         raise DomainError(f"degree {M.degree} exceeds the unit count cap")
     count = 0
     for ints in itertools.product(range(ctx.q), repeat=M.degree):
@@ -161,7 +139,7 @@ def _xdict_sum(a, b):
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
-def carlitz_compose_check(M, N, config=None):
+def carlitz_compose_check(M, N):
     """Both ring laws of the Carlitz action, recomputed formally.
 
     The composite rho_M(rho_N(X)) is expanded by substituting rho_N into
@@ -169,11 +147,10 @@ def carlitz_compose_check(M, N, config=None):
     not by the twisted product, and compared against rho_{M*N}; the sum
     law rho_{M+N} = rho_M + rho_N is compared componentwise.
     """
-    cfg = config or DEFAULT_CONFIG
     for f in (M, N):
         if f.is_zero():
             raise DomainError("multipliers must be nonzero")
-        if f.degree > min(2, cfg.max_deg) or f.ctx.q > cfg.max_q:
+        if f.degree > 2 or f.ctx.q > MAX_ORACLE_Q:
             raise DomainError("multiplier outside the composition oracle caps")
     q = M.ctx.q
     rho_m, chain = _qpow_chain(M)[0], _qpow_chain(N)
@@ -216,14 +193,13 @@ def root_field_degree(gamma, d):
     return b
 
 
-def t0_root_degrees(gamma, d, config=None):
+def t0_root_degrees(gamma, d):
     """gcd of the degrees over F_q of all d-th roots of gamma.
 
     Builds the explicit splitting field F_{q^b} with d*ord(gamma) dividing
     q^b - 1, collects the d roots by scanning it, and measures each root's
     degree as its Frobenius orbit length.
     """
-    cfg = config or DEFAULT_CONFIG
     if gamma.is_zero():
         raise DomainError("gamma must be nonzero")
     if not isinstance(d, int) or d < 1:
@@ -231,8 +207,8 @@ def t0_root_degrees(gamma, d, config=None):
     ctx = gamma.ctx
     if d % ctx.p == 0:
         raise DomainError("d must be prime to the characteristic")
-    if ctx.q > cfg.max_q:
-        raise DomainError(f"field size {ctx.q} exceeds oracle cap {cfg.max_q}")
+    if ctx.q > MAX_ORACLE_Q:
+        raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
     b = root_field_degree(gamma, d)
     if ctx.q ** b > MAX_ENUM:
         raise DomainError(f"splitting field F_{ctx.q}^{b} exceeds the enumeration cap")
@@ -250,7 +226,7 @@ def t0_root_degrees(gamma, d, config=None):
     return reduce(gcd, degs)
 
 
-def splitting_at_finite(K, P, config=None):
+def splitting_at_finite(K, P):
     """Splitting of the finite prime P in a radical extension, from scratch.
 
     When P does not divide gamma*D the extension is unramified at P and
@@ -259,17 +235,16 @@ def splitting_at_finite(K, P, config=None):
     gamma*D the Newton polygon of X^n - gamma*D at P is one segment from
     (0, v_P) to (n, 0), giving (n/gcd(n, v_P), ()).
     """
-    cfg = config or DEFAULT_CONFIG
     ctx = K.ctx
     if K.s != 1:
         raise DomainError("the splitting oracle runs over the plain base s = 1")
     if P.ctx is not ctx or P.degree < 1 or not P.is_monic:
         raise DomainError("P must be a nonconstant monic polynomial over the base")
-    if P.degree > cfg.max_deg:
-        raise DomainError(f"degree {P.degree} exceeds oracle cap {cfg.max_deg}")
-    if ctx.q ** P.degree > cfg.max_q:
-        raise DomainError(f"residue field F_{ctx.q ** P.degree} exceeds oracle cap {cfg.max_q}")
-    if naive_factor(P, cfg).factors != ((P, 1),):
+    if P.degree > MAX_ORACLE_DEG:
+        raise DomainError(f"degree {P.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
+    if ctx.q ** P.degree > MAX_ORACLE_Q:
+        raise DomainError(f"residue field F_{ctx.q ** P.degree} exceeds oracle cap {MAX_ORACLE_Q}")
+    if naive_factor(P).factors != ((P, 1),):
         raise DomainError("P must be irreducible")
     work = FqPoly.const(ctx, K.gamma) * K.D
     v = 0
@@ -284,7 +259,7 @@ def splitting_at_finite(K, P, config=None):
     theta = next(x for x in ext.elements() if P.eval(x).is_zero())
     c = work.eval(theta)
     coeffs = [-c] + [ext.zero()] * (K.n - 1) + [ext.one()]
-    fact = naive_factor(FqPoly(ext, tuple(coeffs)), cfg)
+    fact = naive_factor(FqPoly(ext, tuple(coeffs)))
     degs = tuple(sorted(g.degree for g, mult in fact.factors for _ in range(mult)))
     if sum(degs) != K.n:
         raise AssertionError(f"residue factor degrees {degs} do not sum to n = {K.n}")

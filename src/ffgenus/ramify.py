@@ -173,22 +173,15 @@ def _geometric_flag(K, alphas):
 
 def build_profile(K):
     """Full ramification profile of a radical extension."""
-    n = K.n
-    finite = []
-    for P, alpha in K.D_factors.factors:
-        e = n // gcd(alpha, n)
-        if e > 1:
-            finite.append(FinitePlace(P.degree, (e,), e, 0, e, P))
-    d = gcd(K.D.degree, n)
-    e_inf = n // d
-    factors = tuple(_infinity_factorization(K.gamma, d, K.s))
+    finite = tuple(FinitePlace(P.degree, (e,), e, 0, e, P) for P, e in ram_finite(K))
+    e_inf = ram_infinity(K)
+    factors = tuple(_infinity_factorization(K.gamma, K.n // e_inf, K.s))
     infinity = tuple((e_inf, K.s * h.degree) for h in factors)
     t0 = reduce(gcd, (t for _, t in infinity))
     geo = _geometric_flag(K, [a for _, a in K.D_factors.factors])
     return RamificationProfile(
-        q=K.ctx.q, p=K.ctx.p, s=K.s, finite=tuple(finite), infinity=infinity,
-        e_inf=reduce(gcd, (e for e, _ in infinity)), t0=t0, geometric=geo, radical=K,
-        infinity_factors=factors)
+        q=K.ctx.q, p=K.ctx.p, s=K.s, finite=finite, infinity=infinity,
+        e_inf=e_inf, t0=t0, geometric=geo, radical=K, infinity_factors=factors)
 
 
 def profile_from_dict(data):

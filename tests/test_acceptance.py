@@ -31,7 +31,7 @@ from ffgenus.genus import (
     report_json,
 )
 from ffgenus.oracle import (
-    DEFAULT_CONFIG,
+    SWEEP_SEED,
     carlitz_compose_check,
     naive_factor,
     newton_polygon_e,
@@ -169,7 +169,7 @@ def test_criterion_5_oracle_equivalences():
                     checked += 1
     assert checked > 5694
 
-    rng = random.Random(DEFAULT_CONFIG.seed)
+    rng = random.Random(SWEEP_SEED)
     for q, max_deg in ((9, 6), (25, 4)):
         ctx = CTX[q]
         for _ in range(500):
@@ -196,7 +196,7 @@ def test_criterion_5_oracle_equivalences():
                 assert t0_root_degrees(gamma, d) == t0_radical(gamma, d, 1), (q, g, d)
 
     # ramification table vs Newton polygon slopes
-    rng = random.Random(DEFAULT_CONFIG.seed + 1)
+    rng = random.Random(SWEEP_SEED + 1)
     built = 0
     while built < 150:
         K = random_tame_radical(rng, max_alpha=3)
@@ -213,7 +213,7 @@ def test_criterion_5_oracle_equivalences():
 
 
 def test_criterion_6_divisibility_invariants():
-    rng = random.Random(DEFAULT_CONFIG.seed + 2)
+    rng = random.Random(SWEEP_SEED + 2)
     for _ in range(500):
         K = random_tame_radical(rng)
         r = genus_report(K)
@@ -248,7 +248,7 @@ def test_criterion_6_divisibility_invariants():
 def test_criterion_7_prime_power_cross_check():
     combos = [(5, 2, 1), (5, 2, 2), (9, 2, 1), (9, 2, 2), (9, 2, 3),
               (25, 2, 1), (25, 2, 2), (25, 2, 3), (25, 3, 1)]
-    rng = random.Random(DEFAULT_CONFIG.seed + 3)
+    rng = random.Random(SWEEP_SEED + 3)
     built = 0
     while built < 200:
         q, l, nu = rng.choice(combos)

@@ -11,6 +11,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffgenus import carlitz, ffpoly
 from ffgenus.ffpoly import (
     DomainError,
     Factorization,
@@ -22,6 +23,8 @@ from ffgenus.ffpoly import (
     parse_poly,
 )
 from ffgenus.genus import (
+    _infinity_residue_data,
+    _root_splits,
     _split_generators,
     adjoin_constants,
     build_F0,
@@ -145,6 +148,21 @@ def test_build_F0_wild_place_uses_tame_quotient():
     assert (pl.e_P, pl.e0, pl.u_P, pl.c_P) == (6, 2, 1, 2)
 
 
+def test_report_runs_no_irreducibility_test(monkeypatch):
+    # D is factored once, by radical_extension; the report re-tests none of its factors
+    for K in (K51(), K53(), K53p(s=2)):
+        genus_report(K)  # builds every context and extension the report needs
+        calls = []
+        for mod in (carlitz, ffpoly):
+            def counted(f, inner=mod.is_irreducible):
+                calls.append(f)
+                return inner(f)
+            monkeypatch.setattr(mod, "is_irreducible", counted)
+        genus_report(K)
+        monkeypatch.undo()
+        assert calls == [], K
+
+
 # -- splitting of infinite primes --
 
 
@@ -181,6 +199,68 @@ def test_splits_rejects_bad_generators():
         splits_fully_at_infinity(K, (2, ctx.zero(), P))
     with pytest.raises(DomainError):
         splits_fully_at_infinity(K, (2, ctx.one(), parse_poly(ctx, "2*T")))
+
+
+def _orbit_model(q, s, d, l):
+    """Infinite primes of K over F_{q^s}(T) from integers alone.
+
+    With N = d(q-1) and omega of order N with omega^d = g, the roots of
+    X^d - g^l are the omega^j, j = l + k(q-1). Returns N and one (j, t) per
+    orbit of j -> j q^s mod N, with t = s * (orbit size) the residue degree.
+    """
+    N = d * (q - 1)
+    qs = pow(q, s, N)
+    seen, orbits = set(), []
+    for k in range(d):
+        j = l + k * (q - 1)
+        if j in seen:
+            continue
+        size, x = 0, j
+        while x not in seen:
+            seen.add(x)
+            size, x = size + 1, x * qs % N
+        orbits.append((j, s * size))
+    return N, orbits
+
+
+def test_infinity_data_matches_integer_orbit_model():
+    # K = k((g^l * T * (T+1)^(d-1))^(1/de)): gcd(deg D, n) = d and m' = deg D/d = 1
+    rng = random.Random(20261018)
+    fields = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+              13: (13, 1), 25: (5, 2), 27: (3, 3)}
+    cases = []
+    for q, (p, m) in fields.items():
+        for s in (1, 2, 3):
+            d = rng.choice([x for x in range(1, 13) if x % p])
+            e = rng.choice([x for x in (1, 2, 3) if x % p and d * x > 1])
+            cases.append((q, p, m, s, d, e, rng.randrange(q - 1)))
+    seen, outcomes = set(), set()
+    for q, p, m, s, d, e, l in cases:
+        ctx = make_context(p, m)
+        D = FqPoly.x(ctx) * parse_poly(ctx, "T+1") ** (d - 1)
+        prof = build_profile(radical_extension(ctx, d * e, ctx.generator ** l, D, s))
+        N, orbits = _orbit_model(q, s, d, l)
+        assert sorted(t for _, t in prof.infinity) == sorted(t for _, t in orbits), prof
+        # the residue-tower reference factors over F_{q^t}: keep it to small fields
+        if q ** max(t for _, t in orbits) > 1 << 12:
+            continue
+        residues = _infinity_residue_data(prof)
+        _, a, data = residues
+        for _ in range(20):
+            eps, lu, deg = rng.randrange(1, 2 * q), rng.randrange(q - 1), rng.randrange(3 * d * e)
+            u = ctx.generator ** lu
+            # u * r^(a deg) = omega^E is an eps-th power of F_{q^t} iff its order
+            # N/gcd(E, N) divides (q^t - 1)/gcd(eps, q^t - 1)
+            want = sorted((q ** t, (e * deg) % eps == 0 and (q ** t - 1) // gcd(eps, q ** t - 1)
+                           % (N // gcd(d * lu + j * a * deg, N)) == 0) for j, t in orbits)
+            got = sorted((top.q, _root_splits((e, a, [(top, r)]), eps, u, deg))
+                         for top, r in data)
+            assert got == want, (prof, eps, lu, deg)
+            assert _root_splits(residues, eps, u, deg) == all(ok for _, ok in want)
+            outcomes.update(ok for _, ok in want)
+        seen.add((s > 1, m > 1, e > 1))
+    assert outcomes == {True, False}
+    assert {(True, True, False), (True, False, True), (False, True, True)} <= seen
 
 
 # -- maximal fully split subfield --

@@ -19,8 +19,8 @@ from ffgenus.ffpoly import (
     render_poly,
 )
 from ffgenus.oracle import (
-    DEFAULT_CONFIG,
-    OracleConfig,
+    MAX_ORACLE_Q,
+    SWEEP_SEED,
     carlitz_compose_check,
     naive_factor,
     newton_polygon_e,
@@ -85,7 +85,7 @@ def test_naive_factor_matches_fast_factor_exhaustively():
 
 
 def test_naive_factor_matches_fast_factor_random():
-    rng = random.Random(DEFAULT_CONFIG.seed)
+    rng = random.Random(SWEEP_SEED)
     for ctx, max_deg in ((C9, 5), (C25, 4)):
         for _ in range(30):
             deg = rng.randrange(1, max_deg + 1)
@@ -102,8 +102,12 @@ def test_naive_factor_rejects_zero_and_caps():
         naive_factor(FqPoly.x(make_context(11, 2)))
     with pytest.raises(DomainError):
         naive_factor(FqPoly.x(C3) ** 17)
-    with pytest.raises(DomainError):
-        naive_factor(FqPoly.x(C25) ** 5, OracleConfig(max_q=9))
+    # the first field above the constant cap, at a degree naive_factor accepts
+    C128 = make_context(2, 7)
+    assert C128.q > MAX_ORACLE_Q >= C25.q
+    with pytest.raises(DomainError, match="exceeds oracle cap 81"):
+        naive_factor(FqPoly.x(C128) ** 5)
+    assert naive_factor(FqPoly.x(C25) ** 5).factors == ((FqPoly.x(C25), 5),)
 
 
 # ------------------------------------------------------------------ unit_count
@@ -250,18 +254,3 @@ def test_splitting_rejects_bad_inputs():
     K5 = K_of(C5, 2, 1, "T")
     with pytest.raises(DomainError):
         splitting_at_finite(K5, parse_poly(C5, "T^3 + T + 1"))  # residue field 125 > 81
-
-
-# ---------------------------------------------------------------------- config
-
-def test_config_validation():
-    assert OracleConfig().max_q == 81
-    with pytest.raises(DomainError):
-        OracleConfig(max_q=1)
-    with pytest.raises(DomainError):
-        OracleConfig(max_deg=0)
-    with pytest.raises(DomainError):
-        OracleConfig(max_q=1 << 17)
-    assert OracleConfig()._replace(max_deg=3) == OracleConfig(81, 3)
-    with pytest.raises(DomainError):
-        OracleConfig()._replace(max_deg=0)
