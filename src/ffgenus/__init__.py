@@ -1,6 +1,6 @@
 """Genus-field and ramification toolkit for radical extensions of F_q(T)."""
 
-from .carlitz import carlitz_action, cyclo_datum, euler_phi, subfield_FP
+from .carlitz import carlitz_action, euler_phi, subfield_FP
 from .ffpoly import (
     DomainError,
     FqPoly,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "FqPoly", "ParseError",
     "adjoin_constants", "build_profile", "carlitz_action",
-    "carlitz_compose_check", "cyclo_datum", "estar_interval", "euler_phi",
+    "carlitz_compose_check", "estar_interval", "euler_phi",
     "factor", "genus_report", "genus_report_abstract", "is_irreducible",
     "make_context", "naive_factor", "parse_element", "parse_poly",
     "prime_degree_case", "prime_power_case", "profile_from_dict",

@@ -3,8 +3,8 @@
 The Carlitz action sends M in F_q[T] to the additive polynomial rho_M(X),
 a ring homomorphism into the twisted polynomial ring generated by the
 Frobenius X -> X^q, normalized by rho_T(X) = X^q + T*X. Torsion points are
-never enumerated: downstream code only needs the polynomial itself and the
-degree/ramification invariants of k(Lambda_M) and of the canonical cyclic
+never enumerated: downstream code only needs the polynomial itself, the
+degree phi(M) of k(Lambda_M) and the invariants of the canonical cyclic
 subfields F_P of k(Lambda_P).
 """
 
@@ -46,12 +46,6 @@ class CarlitzPoly:
     @property
     def tau_degree(self):
         return len(self.coeffs) - 1
-
-    @property
-    def x_degree(self):
-        if not self.coeffs:
-            return -1
-        return self.ctx.q ** self.tau_degree
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -134,29 +128,6 @@ def euler_phi(M):
         qd = q ** g.degree
         out *= (qd - 1) * qd ** (mult - 1)
     return out
-
-
-class CyclotomicDatum(namedtuple(
-        "CyclotomicDatum",
-        "M phi inf_ram inf_split_count real_subfield_index")):
-    """Numeric shape of k(Lambda_M)/k at the infinite prime.
-
-    P_inf ramifies with index q-1 and splits into phi/(q-1) primes of
-    degree one; the real subfield (fixed field of the inertia group F_q*)
-    has index q-1.
-    """
-
-    __slots__ = ()
-
-
-def cyclo_datum(M):
-    if M.degree < 1:
-        raise DomainError("cyclotomic data needs deg M >= 1")
-    if not M.is_monic:
-        raise DomainError("cyclotomic data expects a monic argument")
-    q = M.ctx.q
-    phi = euler_phi(M)
-    return CyclotomicDatum(M, phi, q - 1, phi // (q - 1), q - 1)
 
 
 class SubfieldFP(namedtuple("SubfieldFP", "P c e_inf")):

@@ -1,11 +1,11 @@
 """Exact arithmetic in F_q (q = p^m) and in the polynomial ring F_q[T].
 
 Fields are represented by FqContext objects carrying a deterministic
-modulus and multiplicative generator, so every computation is
-byte-reproducible across runs. A context is either flat (coefficients
-are integers mod p) or an extension of another context (a tower), which
-lets constants of a base field embed into bigger fields without any
-explicit embedding maps.
+modulus (and, when flat, a multiplicative generator), so every
+computation is byte-reproducible across runs. A context is either flat
+(coefficients are integers mod p) or an extension of another context (a
+tower), which lets constants of a base field embed into bigger fields
+without any explicit embedding maps.
 """
 
 from __future__ import annotations
@@ -149,10 +149,8 @@ class FqElem:
         return self.ctx.elem_to_int(self)
 
     def multiplicative_order(self):
-        if self.is_zero():
-            raise DomainError("zero has no multiplicative order")
         n = self.ctx._n
-        return n // gcd(self.ctx._log[self.v], n)
+        return n // gcd(self.ctx.dlog(self), n)
 
     def __repr__(self):
         return f"FqElem({self.ctx!r}, {render_element(self)!r})"
@@ -247,14 +245,8 @@ class _TowerElem(FqElem):
     def is_zero(self):
         return all(a.is_zero() for a in self.v)
 
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise DomainError("zero has no multiplicative order")
-        n = self.ctx.q - 1
-        for r in factor_int(n):
-            while n % r == 0 and (self ** (n // r)) == self.ctx.one():
-                n //= r
-        return n
+    def __repr__(self):
+        return f"FqElem({self.ctx!r}, {self.v!r})"
 
 
 def _digits(i, p, m):
@@ -377,12 +369,14 @@ class FqContext:
     """The finite field F_q with a deterministic modulus and generator.
 
     The modulus is the lexicographically smallest monic irreducible of
-    its degree over the coefficient field (coefficient tuples compared
-    as integer tuples, low degree first) and the generator is the
-    smallest element of full multiplicative order, so two contexts with
-    the same parameters behave identically. A flat context (base None)
-    builds its generator and exp/log tables on construction; a tower
-    finds its generator on first use.
+    its degree over the coefficient field, with coefficient tuples
+    compared as integer tuples: low degree first for a flat context,
+    high degree first for a tower (extension() varies the constant term
+    fastest). So two contexts with the same parameters behave
+    identically. A flat context (base None) builds its generator, the
+    smallest element of full multiplicative order, and its exp/log
+    tables on construction. A tower has no generator (None) and no
+    discrete log.
     """
 
     def __init__(self, p, m, base, modulus):
@@ -394,12 +388,12 @@ class FqContext:
         self.qbase = p ** (base.mtot if base is not None else 1)
         self.modulus = modulus
         self._n = self.q - 1
-        self._generator = None
+        self.generator = None
         self._ext_cache = {}
         if base is None:
             self._cls = _BinaryElem if p == 2 else _PrimeElem if m == 1 else FqElem
             gen, self._exp, self._log, self._zech = _flat_tables(p, m, modulus)
-            self._generator = self._cls(self, gen)
+            self.generator = self._cls(self, gen)
 
     # -- element constructors --
 
@@ -449,18 +443,6 @@ class FqContext:
         for i in range(self.q):
             yield self.from_int(i)
 
-    @property
-    def generator(self):
-        if self._generator is None:
-            primes = factor_int(self.q - 1)
-            one = self.one()
-            for i in range(1, self.q):
-                g = self.from_int(i)
-                if all((g ** ((self.q - 1) // r)) != one for r in primes):
-                    self._generator = g
-                    break
-        return self._generator
-
     def extension(self, r):
         """The tower context of degree r over this one (cached)."""
         if r == 1:
@@ -487,21 +469,12 @@ class FqContext:
         return ctx
 
     def dlog(self, a):
-        """Discrete log of a nonzero element base the context generator.
-
-        A table lookup in a flat context; a tower walks the powers of its
-        generator, which takes up to q - 1 products.
-        """
+        """Discrete log of a nonzero element base the generator of a flat context."""
+        if self.base is not None:
+            raise DomainError(f"the tower {self!r} has no generator to take logs to")
         if a.is_zero():
             raise DomainError("dlog of zero")
-        if self.base is None:
-            return self._log[a.v]
-        g, x = self.generator, self.one()
-        for k in range(self.q - 1):
-            if x == a:
-                return k
-            x = x * g
-        raise AssertionError("unreachable: the generator spans F_q*")
+        return self._log[a.v]
 
     def __repr__(self):
         if self.base is None:
@@ -987,6 +960,8 @@ class _PolyParser:
             if val == "g":
                 if ctx.mtot == 1:
                     raise ParseError("generator literal 'g' needs an extension field")
+                if ctx.generator is None:
+                    raise DomainError(f"the tower {ctx!r} has no generator literal 'g'")
                 return FqPoly.const(ctx, ctx.generator)
             if self.var is None:
                 self.var = val

@@ -29,7 +29,6 @@ from .ffpoly import (
     MAX_POLY_DEG,
     MAX_Q,
     DomainError,
-    FqElem,
     FqPoly,
     factor,
     factor_int,
@@ -164,6 +163,7 @@ def adjoin_constants(expr, t):
 
 
 def _radical_gen(e, unit, poly, degree=None):
+    """The generator root^e = unit * poly, with poly already rendered."""
     ctx = unit.ctx
     if unit == ctx.one():
         sign = 1
@@ -171,7 +171,7 @@ def _radical_gen(e, unit, poly, degree=None):
         sign = -1
     else:
         sign = 0
-    return RadicalGen(e, render_element(unit), sign, render_poly(poly),
+    return RadicalGen(e, render_element(unit), sign, poly,
                       e if degree is None else degree)
 
 
@@ -244,19 +244,14 @@ def build_F0(profile):
     for pl in profile.finite:
         c = c_P(q, pl.e_P, pl.deg)
         e_inf_fp = (q - 1) // gcd(q - 1, (q ** pl.deg - 1) // c)
+        poly = render_poly(pl.P) if pl.P is not None else None
         gen = None
         if c > 1:
-            if pl.P is None:
-                gen = CycloGen(None, pl.deg, c)
-            elif (q - 1) % c == 0:
-                ctx = pl.P.ctx
-                sign = (-ctx.one()) ** pl.deg
-                gen = _radical_gen(c, sign, pl.P)
+            if poly is not None and (q - 1) % c == 0:
+                gen = _radical_gen(c, (-pl.P.ctx.one()) ** pl.deg, poly)
             else:
-                gen = CycloGen(render_poly(pl.P), pl.deg, c)
-        places.append(PlaceComponent(
-            render_poly(pl.P) if pl.P is not None else None,
-            pl.deg, pl.e_P, pl.e0, pl.u_P, c, e_inf_fp, gen))
+                gen = CycloGen(poly, pl.deg, c)
+        places.append(PlaceComponent(poly, pl.deg, pl.e_P, pl.e0, pl.u_P, c, e_inf_fp, gen))
         if gen is not None:
             gens.append(gen)
     c_inf = reduce(lcm, (pl.e_inf_FP for pl in places), 1)
@@ -330,25 +325,6 @@ def _root_splits(residues, eps, unit, deg):
         is_eth_power(_lift_chain(unit, top) * r ** (a * deg), eps) for top, r in data)
 
 
-def splits_fully_at_infinity(K, gen):
-    """Whether every infinite prime of K splits completely in K(root)/K.
-
-    gen = (e, unit, A) describes the Kummer generator root^e = unit * A
-    with unit a nonzero constant and A monic; e must divide q - 1.
-    """
-    eps, unit, A = gen
-    ctx = K.ctx
-    if not isinstance(eps, int) or eps < 1 or (ctx.q - 1) % eps != 0:
-        raise DomainError(f"generator exponent {eps} is not Kummer over F_{ctx.q}")
-    if not isinstance(unit, FqElem) or unit.ctx is not ctx or unit.is_zero():
-        raise DomainError("unit must be a nonzero constant of the base field")
-    if A.ctx is not ctx or A.is_zero() or not A.is_monic:
-        raise DomainError("A must be monic over the base field")
-    if eps == 1:
-        return True
-    return _root_splits(_infinity_residue_data(build_profile(K)), eps, unit, A.degree)
-
-
 def _divisors(n):
     divs = [1]
     for p, k in factor_int(n).items():
@@ -407,8 +383,8 @@ def find_F(profile, comps):
     ram = [pl for pl in comps.places if pl.c_P > 1]
     if any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
-    poly_map = {render_poly(P): P for P, _ in K.D_factors.factors}
-    Ps = [poly_map[pl.poly] for pl in ram]
+    # build_F0 lists the places in the order of profile.finite
+    Ps = [fp.P for fp, pl in zip(profile.finite, comps.places) if pl.c_P > 1]
     cs = [pl.c_P for pl in ram]
     Nprime = reduce(lcm, cs, 1)
     mus = [Nprime // c for c in cs]
@@ -467,9 +443,9 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
             if is_eth_power(lam0 ** red / lam, Nprime):
                 poly = prod((P ** (v // red) for P, v in zip(Ps, exps)),
                             start=FqPoly.const(ctx, one))
-                return _radical_gen(o, lam0, poly)
+                return _radical_gen(o, lam0, render_poly(poly))
     poly = prod((P ** v for P, v in zip(Ps, exps)), start=FqPoly.const(ctx, one))
-    return _radical_gen(Nprime, lam, poly, degree=o)
+    return _radical_gen(Nprime, lam, render_poly(poly), degree=o)
 
 
 # -- wild part --
@@ -534,12 +510,12 @@ def _constants_collapse(K, comps):
     constant, so F_P is contained in K times an extension of constants.
     Requires every c_P to be Kummer (c_P | q - 1).
     """
-    fac = K.D_factors.factors
     q = K.ctx.q
-    cmap = {pl.poly: pl.c_P for pl in comps.places}
-    alphas = [alpha for _, alpha in fac]
-    for i, (Pi, alpha_i) in enumerate(fac):
-        c = cmap[render_poly(Pi)]
+    # D is n-th-power free, so every factor is ramified and comps.places
+    # follows the order of D's factorization
+    alphas = [alpha for _, alpha in K.D_factors.factors]
+    for i, (alpha_i, pl) in enumerate(zip(alphas, comps.places)):
+        c = pl.c_P
         if c == 1:
             continue
         if (q - 1) % c != 0:
@@ -554,13 +530,33 @@ def _constants_collapse(K, comps):
     return True
 
 
+def _sandwich(comps, k_gen, exact, t_lower):
+    """(comps, lower, upper, exact_field) of a report whose K has generator k_gen.
+
+    lower is K * F * F_{q^t_lower}, with the split part F_0 meet R+ named
+    by its degree when F is undetermined; upper is K * F_0 * F_{q^u}. An
+    exact sandwich collapses onto lower and pins u to t_0.
+    """
+    if comps.F is not None:
+        split = comps.F.radicals + comps.F.cyclo
+    elif comps.F0_plus_deg > 1:
+        split = (OpaqueGen("F0_cap_Rplus", comps.F0_plus_deg),)
+    else:
+        split = ()
+    lower = field_expr(comps.q, (k_gen,) + split, t_lower)
+    if exact:
+        return comps._replace(u_status="equals_t0"), lower, lower, lower
+    upper = field_expr(comps.q, (k_gen,) + comps.F0.radicals + comps.F0.cyclo, None)
+    return comps, lower, upper, None
+
+
 def genus_report(K):
     """Full genus-field report of a radical extension."""
     profile = build_profile(K)
     comps = find_F(profile, build_F0(profile))
     wild = wild_bounds(profile)
     q, t0 = profile.q, profile.t0
-    k_gen = _radical_gen(K.n, K.gamma, K.D)
+    k_gen = _radical_gen(K.n, K.gamma, render_poly(K.D))
 
     exact, reason = False, None
     if comps.F is not None and comps.cprime_exact == comps.c_inf:
@@ -570,20 +566,8 @@ def genus_report(K):
     elif _constants_collapse(K, comps):
         exact, reason = True, "constants_collapse"
 
-    if comps.F is not None:
-        lower = field_expr(q, [k_gen] + list(comps.F.radicals + comps.F.cyclo), t0)
-    else:
-        split_part = ([OpaqueGen("F0_cap_Rplus", comps.F0_plus_deg)]
-                      if comps.F0_plus_deg > 1 else [])
-        lower = field_expr(q, [k_gen] + split_part, t0)
+    comps, lower, upper, exact_field = _sandwich(comps, k_gen, exact, t0)
     conjectural = lower if (comps.F is not None or exact) else None
-    if exact:
-        comps = comps._replace(u_status="equals_t0")
-        upper = exact_field = lower
-    else:
-        upper = field_expr(
-            q, [k_gen] + list(comps.F0.radicals + comps.F0.cyclo), None)
-        exact_field = None
     return GenusReport(profile=profile, components=comps, wild=wild, t0=t0,
                        lower=lower, upper=upper, exact=exact,
                        exact_field=exact_field, conjectural=conjectural,
@@ -601,29 +585,15 @@ def genus_report_abstract(profile):
     """
     comps = build_F0(profile)
     wild = wild_bounds(profile)
-    q, t0 = profile.q, profile.t0
+    t0 = profile.t0
     t0_tame = t0 // profile.p ** p_adic_val(profile.p, t0)
-    k_gen = OpaqueGen("K", None)
-    f0_gens = list(comps.F0.radicals + comps.F0.cyclo)
     if comps.c_inf == 1:
         comps = comps._replace(cprime_exact=1, F=comps.F0)
     else:
         comps = _bound_only(comps)
     exact = comps.c_inf == 1 and wild.tame_case_constants_only
-    if comps.F is not None:
-        low_gens = list(comps.F.radicals + comps.F.cyclo)
-    elif comps.F0_plus_deg > 1:
-        low_gens = [OpaqueGen("F0_cap_Rplus", comps.F0_plus_deg)]
-    else:
-        low_gens = []
-    if exact:
-        comps = comps._replace(u_status="equals_t0")
-        lower = field_expr(q, [k_gen] + low_gens, t0)
-        upper = exact_field = lower
-    else:
-        lower = field_expr(q, [k_gen] + low_gens, t0_tame)
-        upper = field_expr(q, [k_gen] + f0_gens, None)
-        exact_field = None
+    comps, lower, upper, exact_field = _sandwich(
+        comps, OpaqueGen("K", None), exact, t0 if exact else t0_tame)
     return GenusReport(profile=profile, components=comps, wild=wild, t0=t0,
                        lower=lower, upper=upper, exact=exact,
                        exact_field=exact_field, conjectural=None,
@@ -703,7 +673,7 @@ def prime_power_case(K):
     gens = []
     for (P, _), ai in zip(fac, a):
         sign = (-K.ctx.one()) ** P.degree
-        gens.append(_radical_gen(l ** (nu - ai), sign, P))
+        gens.append(_radical_gen(l ** (nu - ai), sign, render_poly(P)))
     return PrimePowerProfile(
         l=l, nu=nu, a=a, dprime=dprime, d=d, delta=delta, m=m,
         e_inf=l ** (nu - d), c_inf=l ** (nu - delta),

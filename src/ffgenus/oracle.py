@@ -6,7 +6,7 @@ root fields, splitting of finite primes, ramification indices from Newton
 polygons) by exhaustive enumeration or trial division, sharing only base
 field arithmetic with the code under test. The one exception is
 enumerate_F, the reference for the subgroup algebra of genus.find_F: it
-walks the whole subfield lattice but reads the residues at infinity and
+walks the whole subfield lattice but runs the split test at infinity and
 writes generators with the genus module's own helpers. The caps fail
 loudly instead of degrading, so a sweep that ran is a sweep that covered
 what it claims.
@@ -27,13 +27,12 @@ from .ffpoly import (
     is_eth_power,
     monic_polys,
     poly_gcd,
-    render_poly,
 )
 from .genus import (
     _bound_only,
     _infinity_residue_data,
-    _lift_chain,
     _reduce_generator,
+    _root_splits,
     field_expr,
 )
 
@@ -330,25 +329,18 @@ def enumerate_F(profile, comps):
     size = prod(pl.c_P for pl in ram)
     if size > MAX_ENUM:
         raise DomainError(f"subfield lattice of size {size} exceeds the enumeration cap")
-    poly_map = {render_poly(P): P for P, _ in K.D_factors.factors}
-    Ps = [poly_map[pl.poly] for pl in ram]
+    Ps = [fp.P for fp, pl in zip(profile.finite, comps.places) if pl.c_P > 1]
     cs = [pl.c_P for pl in ram]
     degs = [pl.deg for pl in ram]
     Nprime = reduce(lcm, cs, 1)
     mus = [Nprime // c for c in cs]
-    e, a, data = _infinity_residue_data(profile)
+    residues = _infinity_residue_data(profile)
     one, minus = K.ctx.one(), -K.ctx.one()
     split_memo, plus_memo = {}, {}
 
     def w_splits(dw):
         if dw not in split_memo:
-            ok = (e * dw) % Nprime == 0
-            lam = minus if dw % 2 else one
-            for top, r in data:
-                if not ok:
-                    break
-                ok = is_eth_power(_lift_chain(lam, top) * r ** (a * dw), Nprime)
-            split_memo[dw] = ok
+            split_memo[dw] = _root_splits(residues, Nprime, minus if dw % 2 else one, dw)
         return split_memo[dw]
 
     def w_plus(dw):

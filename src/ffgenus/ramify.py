@@ -193,15 +193,23 @@ def profile_from_dict(data):
     with q a prime power up to MAX_Q, place degrees deg and t up to
     MAX_POLY_DEG and s up to MAX_TOWER_DEG. Finite places where every
     exponent is 1 are dropped. Any missing, non-integer or out-of-range
-    field is a DomainError.
+    field is a DomainError: numbers are taken as they are, never rounded
+    or converted, and geometric must be true, false or null.
     """
+
+    def num(value):
+        # bool is a subclass of int, but JSON true is no exponent
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
+        return value
+
     try:
-        q = int(data["q"])
-        s = int(data.get("s", 1))
-        finite_in = [(entry, int(entry["deg"]), tuple(int(e) for e in entry["e"]))
+        q = num(data["q"])
+        s = num(data.get("s", 1))
+        finite_in = [(entry, num(entry["deg"]), tuple(num(e) for e in entry["e"]))
                      for entry in data.get("finite", [])]
-        infinity_in = [(entry, int(entry["e"]), int(entry["t"])) for entry in data["infinity"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        infinity_in = [(entry, num(entry["e"]), num(entry["t"])) for entry in data["infinity"]]
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from None
     if q > MAX_Q:
         raise DomainError(f"q = {q} exceeds cap {MAX_Q}")
@@ -228,8 +236,8 @@ def profile_from_dict(data):
     if not infinity:
         raise DomainError("profile needs at least one infinite prime")
     geo = data.get("geometric")
-    if geo is not None:
-        geo = bool(geo)
+    if geo is not None and type(geo) is not bool:
+        raise DomainError(f"geometric must be true, false or null, not {geo!r}")
     return RamificationProfile(
         q=q, p=p, s=s, finite=tuple(finite), infinity=tuple(infinity),
         e_inf=reduce(gcd, (e for e, _ in infinity)),

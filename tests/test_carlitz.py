@@ -7,7 +7,6 @@ import pytest
 from ffgenus.carlitz import (
     CarlitzPoly,
     carlitz_action,
-    cyclo_datum,
     euler_phi,
     render_carlitz,
     subfield_FP,
@@ -26,7 +25,7 @@ def test_action_of_one_is_identity():
     ctx = make_context(3, 1)
     rho = carlitz_action(parse_poly(ctx, "1"))
     assert rho.coeffs == (FqPoly.const(ctx, ctx.one()),)
-    assert rho.x_degree == 1
+    assert rho.tau_degree == 0
 
 
 def test_action_of_t():
@@ -63,7 +62,7 @@ def test_action_degree_and_edge_coefficients():
         coeffs.append(ctx.from_int(rng.randrange(1, 5)))
         M = FqPoly(ctx, tuple(coeffs))
         rho = carlitz_action(M)
-        assert rho.x_degree == 5 ** M.degree
+        assert rho.tau_degree == M.degree
         assert rho.coeffs[-1] == FqPoly.const(ctx, M.leading)
         assert rho.coeffs[0] == M
 
@@ -128,23 +127,6 @@ def test_euler_phi_rejects_bad_input():
         euler_phi(FqPoly(ctx, ()))
     with pytest.raises(DomainError):
         euler_phi(parse_poly(ctx, "2*T"))
-
-
-def test_cyclo_datum_fixed_values():
-    f5 = make_context(5, 1)
-    dat = cyclo_datum(parse_poly(f5, "T^2+T+1"))
-    assert dat.inf_ram == 4
-    f3 = make_context(3, 1)
-    dat = cyclo_datum(parse_poly(f3, "T^3+2*T+1"))
-    assert (dat.phi, dat.inf_split_count) == (26, 13)
-    dat = cyclo_datum(parse_poly(f3, "T"))
-    assert (dat.inf_ram, dat.inf_split_count, dat.real_subfield_index) == (2, 1, 2)
-
-
-def test_cyclo_datum_rejects_constants():
-    ctx = make_context(3, 1)
-    with pytest.raises(DomainError):
-        cyclo_datum(parse_poly(ctx, "2"))
 
 
 def test_subfield_fp_fixed_values():

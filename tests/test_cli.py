@@ -246,6 +246,8 @@ def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
     {"q": 9, "finite": [{"deg": 1000000000, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 9, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1000000000}]},
     {"q": 9, "s": 1000000000, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1}]},
+    # truncating these to q = 9, deg = 2, e = 2 would give a report
+    {"q": 9.7, "finite": [{"deg": 2.9, "e": [2.5]}], "infinity": [{"e": 1, "t": 1}]},
 ])
 def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
     path = tmp_path / "profile.json"

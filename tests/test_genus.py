@@ -38,7 +38,6 @@ from ffgenus.genus import (
     prime_power_case,
     report_json,
     render_report,
-    splits_fully_at_infinity,
     wild_bounds,
 )
 from ffgenus.oracle import enumerate_F
@@ -166,16 +165,21 @@ def test_report_runs_no_irreducibility_test(monkeypatch):
 # -- splitting of infinite primes --
 
 
+def splits(K, eps, unit, A):
+    """Whether the eps-th root of unit * A splits at every infinite prime of K."""
+    return _root_splits(_infinity_residue_data(build_profile(K)), eps, unit, A.degree)
+
+
 def test_splits_quadratic_example():
     K = K51()
     ctx = K.ctx
     P = parse_poly(ctx, "T^3+2*T+1")
     one = FqPoly.const(ctx, ctx.one())
-    assert not splits_fully_at_infinity(K, (2, -ctx.one(), P))
-    assert splits_fully_at_infinity(K, (2, ctx.one(), P))
-    assert not splits_fully_at_infinity(K, (2, -ctx.one(), one))
-    assert splits_fully_at_infinity(K, (2, ctx.one(), one))
-    assert splits_fully_at_infinity(K, (1, -ctx.one(), P))
+    assert not splits(K, 2, -ctx.one(), P)
+    assert splits(K, 2, ctx.one(), P)
+    assert not splits(K, 2, -ctx.one(), one)
+    assert splits(K, 2, ctx.one(), one)
+    assert splits(K, 1, -ctx.one(), P)
 
 
 def test_splits_tenth_root_example():
@@ -183,22 +187,10 @@ def test_splits_tenth_root_example():
     ctx = K.ctx
     P2 = parse_poly(ctx, "T^2+2*T+2")
     one = FqPoly.const(ctx, ctx.one())
-    assert splits_fully_at_infinity(K, (2, ctx.one(), P2))
+    assert splits(K, 2, ctx.one(), P2)
     # -1 becomes a square in the residue field F_9 of the infinite prime
-    assert splits_fully_at_infinity(K, (2, -ctx.one(), P2))
-    assert splits_fully_at_infinity(K, (2, -ctx.one(), one))
-
-
-def test_splits_rejects_bad_generators():
-    K = K51()
-    ctx = K.ctx
-    P = parse_poly(ctx, "T^3+2*T+1")
-    with pytest.raises(DomainError):
-        splits_fully_at_infinity(K, (3, ctx.one(), P))
-    with pytest.raises(DomainError):
-        splits_fully_at_infinity(K, (2, ctx.zero(), P))
-    with pytest.raises(DomainError):
-        splits_fully_at_infinity(K, (2, ctx.one(), parse_poly(ctx, "2*T")))
+    assert splits(K, 2, -ctx.one(), P2)
+    assert splits(K, 2, -ctx.one(), one)
 
 
 def _orbit_model(q, s, d, l):
@@ -324,8 +316,7 @@ def test_find_F_generators_pass_split_test():
         comps = F_of(K)
         assert comps.F is not None and comps.F.radicals
         for g in comps.F.radicals:
-            gen = (g.e, parse_element(K.ctx, g.unit), parse_poly(K.ctx, g.poly))
-            assert splits_fully_at_infinity(K, gen)
+            assert splits(K, g.e, parse_element(K.ctx, g.unit), parse_poly(K.ctx, g.poly))
 
 
 def test_find_F_cross_checks_c_inf():
@@ -752,8 +743,7 @@ def test_random_tame_report_invariants():
             assert r.exact_field == r.lower
         if c.F is not None:
             for g in c.F.radicals:
-                gen = (g.e, parse_element(ctx, g.unit), parse_poly(ctx, g.poly))
-                assert splits_fully_at_infinity(K, gen)
+                assert splits(K, g.e, parse_element(ctx, g.unit), parse_poly(ctx, g.poly))
 
 
 # -- field expression utilities --

@@ -289,10 +289,30 @@ def test_profile_from_dict_rejects_garbage():
     {"q": 9, "finite": [{"deg": 65, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 9, "infinity": [{"e": 1, "t": 65}]},
     {"q": 9, "s": 65, "infinity": [{"e": 1, "t": 1}]},
+    # numbers are never truncated or converted, and bools are no numbers
+    {"q": 9.7, "finite": [{"deg": 2.9, "e": [2.5]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9.0, "infinity": [{"e": 1, "t": 1}]},
+    {"q": "9", "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "s": "2", "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "s": True, "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "finite": [{"deg": True, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "finite": [{"deg": 1, "e": [2.0]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "finite": [{"deg": 1, "e": [True, 2]}], "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "infinity": [{"e": 1.5, "t": 1}]},
+    {"q": 9, "infinity": [{"e": 1, "t": "1"}]},
+    {"q": 9, "infinity": [{"e": 1, "t": False}]},
+    {"q": 9, "geometric": "false", "infinity": [{"e": 1, "t": 1}]},
+    {"q": 9, "geometric": 1, "infinity": [{"e": 1, "t": 1}]},
 ])
 def test_profile_from_dict_rejects_malformed_fields(data):
     with pytest.raises(DomainError):
         profile_from_dict(data)
+
+
+def test_profile_from_dict_keeps_geometric_flag():
+    for flag in (True, False, None):
+        prof = profile_from_dict({"q": 9, "infinity": [{"e": 1, "t": 1}], "geometric": flag})
+        assert prof.geometric is flag
 
 
 def test_profile_from_dict_accepts_degrees_at_the_caps():
