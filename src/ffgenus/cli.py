@@ -91,13 +91,11 @@ def _radical_from_args(args):
 def cmd_factor(args):
     ctx = context_from_field(args.field)
     fac = factor(parse_poly(ctx, normalize_poly_text(args.poly)))
-    payload = {
-        "unit": render_element(fac.unit),
-        "factors": [{"poly": render_poly(g), "mult": m} for g, m in fac.factors],
-    }
+    unit = render_element(fac.unit)
+    payload = {"unit": unit,
+               "factors": [{"poly": render_poly(g), "mult": m} for g, m in fac.factors]}
     parts = [f"({render_poly(g)})" + (f"^{m}" if m > 1 else "")
              for g, m in fac.factors]
-    unit = render_element(fac.unit)
     if unit != "1" or not parts:
         parts.insert(0, unit)
     return payload, " * ".join(parts), 0
@@ -262,8 +260,13 @@ def cmd_oracle_verify(args):
 # --------------------------------------------------------------------- parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line and exit 2, not the usage text
+        raise ParseError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ffgenus",
         description="ramification and genus field reports for radical "
                     "extensions of F_q(T)")
@@ -319,8 +322,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "genus" and args.profile is None and not args.field:
             raise ParseError("genus needs --field unless --profile is given")
         payload, text, code = args.handler(args)

@@ -666,6 +666,8 @@ class FqPoly:
         return (self.degree, tuple(c.to_int() for c in self.coeffs))
 
     def __repr__(self):
+        if self.ctx.base is not None:  # tower constants have no g^k name
+            return f"FqPoly({self.ctx!r}, {self.coeffs!r})"
         return f"FqPoly({render_poly(self)!r})"
 
 
@@ -701,26 +703,17 @@ def is_irreducible(f):
     x = FqPoly.x(ctx)
     need = {n // r for r in factor_int(n)}
     xp = x
-    for d in range(1, n + 1):
+    for d in range(1, n):
         xp = powmod(xp, ctx.q, f)
         if d in need and poly_gcd(xp - x, f).degree != 0:
             return False
-        if d == n:
-            return xp == x
-    raise AssertionError("unreachable")
+    return powmod(xp, ctx.q, f) == x
 
 
 class Factorization(namedtuple("Factorization", "unit factors")):
     """unit * prod(poly^mult); factors monic irreducible, canonically sorted."""
 
     __slots__ = ()
-
-    def expand(self):
-        ctx = self.unit.ctx
-        out = FqPoly.const(ctx, self.unit)
-        for g, mult in self.factors:
-            out = out * g ** mult
-        return out
 
     def degree_multiset(self):
         out = []
@@ -931,7 +924,10 @@ class _PolyParser:
         acc = self._factor()
         while self.toks.peek() == "*":
             self.toks.next()
-            acc = acc * self._factor()
+            rhs = self._factor()
+            if (deg := acc.degree + rhs.degree) > MAX_POLY_DEG:
+                raise ParseError(f"degree {deg} of a product exceeds cap {MAX_POLY_DEG}")
+            acc = acc * rhs
         return acc
 
     def _factor(self):
@@ -993,7 +989,10 @@ def parse_poly(ctx, text):
     """Parse a polynomial literal over the context."""
     if not text or not text.strip():
         raise ParseError("empty polynomial literal")
-    return _PolyParser(ctx, text).parse()
+    try:
+        return _PolyParser(ctx, text).parse()
+    except RecursionError:  # each level of parentheses costs four stack frames
+        raise ParseError("parentheses nested too deeply") from None
 
 
 def parse_element(ctx, text):

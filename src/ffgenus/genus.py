@@ -268,22 +268,6 @@ def build_F0(profile):
 # -- splitting of infinite primes in Kummer composites --
 
 
-def _lift_chain(a, target):
-    """Embed a constant into a tower context built above its own context."""
-    if a.ctx is target:
-        return a
-    chain = []
-    ctx = target
-    while ctx is not None and ctx is not a.ctx:
-        chain.append(ctx)
-        ctx = ctx.base
-    if ctx is None:
-        raise DomainError("element does not live below the target context")
-    for step in reversed(chain):
-        a = step.lift(a)
-    return a
-
-
 def _infinity_residue_data(profile):
     """Residue-field models of the completions of K at its infinite primes.
 
@@ -291,9 +275,9 @@ def _infinity_residue_data(profile):
     K = profile.radical, the unit z = y^e/T^{m'} satisfies
     z^d = gamma * D/T^{deg D}, so its residue r is a root of X^d - gamma,
     and T = z^a * pi^{-e} for any uniformizer pi = y^a/T^c with
-    c*e - a*m' = 1. Returns (e, a, data) where data holds one
-    (residue context, r) pair per infinite prime, read off the factors of
-    X^d - gamma that build_profile found.
+    c*e - a*m' = 1. Returns (e, a, data), data holding for each factor of
+    X^d - gamma over F_q a root r in top = F_{q^f} and the residue degree
+    t = lcm(f, s) of the gcd(f, s) infinite primes over that factor.
     """
     K = profile.radical
     d = gcd(K.D.degree, K.n)
@@ -309,7 +293,7 @@ def _infinity_residue_data(profile):
             lifted = FqPoly(top, tuple(top.lift(c) for c in h.coeffs))
             linear = [u for u, _ in factor(lifted).factors if u.degree == 1]
             r = -linear[0].coeffs[0]
-        data.append((top, r))
+        data.append((top, r, lcm(h.degree, K.s)))
     return e, a, data
 
 
@@ -318,11 +302,16 @@ def _root_splits(residues, eps, unit, deg):
 
     residues is _infinity_residue_data of K. In each completion at infinity
     the root exists iff eps divides the value e_inf * deg and the unit-part
-    residue unit * r^(a * deg) is an eps-th power of the residue field.
+    residue x = unit * r^(a * deg) of top = F_{q^f} is an eps-th power of
+    F_{q^t}: with m = q^f - 1 and M = q^t - 1, x^gcd(m, M/gcd(eps, M)) = 1.
+    The primes over one factor are Frobenius conjugates and share the answer.
     """
     e, a, data = residues
+    q = unit.ctx.q
     return (e * deg) % eps == 0 and all(
-        is_eth_power(_lift_chain(unit, top) * r ** (a * deg), eps) for top, r in data)
+        is_eth_power((unit if top is unit.ctx else top.lift(unit)) * r ** (a * deg),
+                     (top.q - 1) // gcd(top.q - 1, (q ** t - 1) // gcd(eps, q ** t - 1)))
+        for top, r, t in data)
 
 
 def _divisors(n):

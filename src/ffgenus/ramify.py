@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .ffpoly import (
     MAX_POLY_DEG,
@@ -107,23 +107,28 @@ def ram_infinity(K):
 
 
 def _infinity_factorization(gamma, d, s):
-    """X^d - gamma factored over F_{q^s}; one factor per infinite prime."""
+    """X^d - gamma factored over F_q, and the residue degrees t at infinity, ascending.
+
+    A factor of degree f splits over F_{q^s} into gcd(f, s) factors of degree
+    f/gcd(f, s) (Lidl-Niederreiter, Thm 3.46), one per infinite prime, t = lcm(f, s).
+    """
     ctx = gamma.ctx
-    ext = ctx.extension(s)
-    g = ext.lift(gamma) if s > 1 else gamma
-    f = FqPoly.x(ext) ** d - FqPoly.const(ext, g)
-    fac = factor(f)
+    if s * ctx.mtot > MAX_TOWER_DEG:
+        raise DomainError(
+            f"extension degree {s * ctx.mtot} over F_{ctx.p} exceeds cap {MAX_TOWER_DEG}")
+    fac = factor(FqPoly.x(ctx) ** d - FqPoly.const(ctx, gamma))
     if any(mult > 1 for _, mult in fac.factors):
         raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
-    return [h for h, _ in fac.factors]
+    factors = tuple(h for h, _ in fac.factors)
+    return factors, sorted(lcm(h.degree, s) for h in factors for _ in range(gcd(h.degree, s)))
 
 
 def t0_radical(gamma, d, s=1):
     """gcd of the constant-field degrees of the d-th roots of gamma.
 
-    Factor X^d - gamma over F_{q^s}; each irreducible factor of degree f
-    contributes a root generating F_{q^{s f}}, and t_0 is the gcd of those
-    degrees s*f over F_q.
+    Each irreducible factor of X^d - gamma over F_q of degree f has roots
+    generating F_{q^f}, which with F_{q^s} adjoined is F_{q^lcm(f, s)};
+    t_0 is the gcd of those degrees lcm(f, s) over F_q.
     """
     if gamma.is_zero():
         raise DomainError("gamma must be nonzero")
@@ -131,7 +136,7 @@ def t0_radical(gamma, d, s=1):
         raise DomainError("d and s must be positive")
     if d % gamma.ctx.p == 0:
         raise DomainError("d must be prime to the characteristic")
-    return reduce(gcd, (s * h.degree for h in _infinity_factorization(gamma, d, s)))
+    return reduce(gcd, _infinity_factorization(gamma, d, s)[1])
 
 
 class FinitePlace(namedtuple("FinitePlace", "deg e_list e_P u_P e0 P", defaults=(None,))):
@@ -155,7 +160,8 @@ class RamificationProfile(namedtuple(
     holds one (e, t) pair per infinite prime of K. geometric is True/False
     when certified and None when the criteria are silent. For a radical
     profile, infinity_factors holds the irreducible factors of X^d - gamma
-    over F_{q^s} that the infinity pairs were read from, in the same order.
+    over F_q that the infinity pairs were read from: one of degree f stands
+    for gcd(f, s) infinite primes, each with t = lcm(f, s).
     """
 
     __slots__ = ()
@@ -175,8 +181,8 @@ def build_profile(K):
     """Full ramification profile of a radical extension."""
     finite = tuple(FinitePlace(P.degree, (e,), e, 0, e, P) for P, e in ram_finite(K))
     e_inf = ram_infinity(K)
-    factors = tuple(_infinity_factorization(K.gamma, K.n // e_inf, K.s))
-    infinity = tuple((e_inf, K.s * h.degree) for h in factors)
+    factors, ts = _infinity_factorization(K.gamma, K.n // e_inf, K.s)
+    infinity = tuple((e_inf, t) for t in ts)
     t0 = reduce(gcd, (t for _, t in infinity))
     geo = _geometric_flag(K, [a for _, a in K.D_factors.factors])
     return RamificationProfile(

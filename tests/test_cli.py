@@ -7,9 +7,11 @@ content checks run in-process for speed.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffgenus.cli import main
 
@@ -117,6 +119,30 @@ def test_base_constants_flag(capsys):
     assert code == 0
     assert "t0 = 2" in out
     assert "EXACT" in out and "F_25" in out
+
+
+F256 = ["--field", "2^8", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["genus"] + F256 + ["--base-constants", "4"], 0, b"t0 = 12"),
+    (["analyze"] + F256 + ["--base-constants", "4"], 0, b"t0 = 12"),
+    (["genus"] + F256 + ["--base-constants", "8"], 0, b"t0 = 24"),
+    (["analyze"] + F256 + ["--base-constants", "8"], 0, b"t0 = 24"),
+    (["analyze", "--field", "3", "--n", "2", "--gamma", "1", "--poly", "T*(T+1)",
+      "--base-constants", "64"], 0, b"t0 = 64"),
+    # s * m = 72 passes MAX_TOWER_DEG, as when F_{q^s} was built
+    (["genus"] + F256 + ["--base-constants", "9"], 1,
+     b"error: extension degree 72 over F_2 exceeds cap 64"),
+])
+def test_base_constants_end_fast(argv, code, line):
+    # F_{q^s} is never built: over F_256 this took 18.9 s (s = 4) and over a
+    # minute (s = 8), and 17.6 s over F_3 with s = 64
+    start = time.perf_counter()
+    proc = run_cli(argv, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == code
+    assert line in (proc.stdout if code == 0 else proc.stderr)
 
 
 def test_profile_file_runs_abstract_path(capsys, tmp_path):
@@ -238,6 +264,35 @@ def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--poly", "T"],
+    ["genus", "--field", "3", "--n", "x", "--gamma", "1", "--poly", "T"],
+    ["frobnicate"],
+    ["factor", "--field", "3", "--poly", "T", "--bogus"],
+])
+def test_usage_errors_exit_2_with_one_error_line(argv):
+    proc = run_cli(argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: ") and proc.stderr.count(b"\n") == 1
+    assert proc.stdout == b""
+
+
+def test_help_still_exits_0():
+    for argv in (["--help"], ["genus", "--help"]):
+        proc = run_cli(argv, timeout=30)
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: ffgenus")
+
+
+def test_long_product_literal_ends_fast():
+    # each factor is cheap, but multiplying 2,000 of them out took minutes
+    start = time.perf_counter()
+    proc = run_cli(["factor", "--field", "65521", "--poly", "*".join(["(T+1)^64"] * 2000)],
+                   timeout=30)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: degree 128 of a product exceeds cap 64\n"
+
+
 @pytest.mark.parametrize("profile", [
     {"q": 3, "finite": [{"e": [2]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 3, "s": "x", "finite": [{"deg": 2, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
@@ -285,3 +340,82 @@ def test_oracle_verify_large_fields_end_in_time(field):
     assert checks == {"naive_factor vs factor": True, "unit_count vs euler_phi": None,
                       "carlitz composition laws": True,
                       "t0_root_degrees vs t0_radical": None}
+
+
+# -- the CLI contract under fuzzed argv --
+
+_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "3^2", "2^8", "0", "6", "2^99", "65537",
+           "x", "7" * 5000]
+_LITERALS = st.one_of(
+    st.sampled_from(["T", "T+1", "T^3+2T+1", "T^2(T+1)", "T*(T+1)*(T+g)", "g", "g^5",
+                     "1", "-1", "2", "[1,1]", "0", "T^65", "7" * 5000, "T+" + "7" * 5000]),
+    st.builds(lambda base, k: "*".join([base] * k),
+              st.sampled_from(["T", "(T+1)", "(T+1)^64", "(T^2+T+1)^8"]),
+              st.integers(1, 3000)),
+    st.text(alphabet="Tg0123456789+-*^()[], x?é", max_size=30),
+)
+_INTS = st.one_of(st.integers(-3, 40).map(str),
+                  st.sampled_from(["x", "7" * 5000, "1000000000000000003"]))
+_VALUES = {
+    "--field": st.sampled_from(_FIELDS),
+    "--poly": _LITERALS,
+    "--gamma": _LITERALS,
+    "--n": _INTS,
+    "--base-constants": st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["65", "x"])),
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--profile": st.just("PROFILE"),  # replaced by the generated profile's path
+    "--bogus": st.just("1"),
+}
+# mostly valid radical inputs, so that the report paths run, --base-constants included
+_RADICAL = {
+    "--field": st.sampled_from(["3", "4", "5", "7", "8", "9", "13", "2^8"]),
+    "--poly": st.sampled_from(["T", "T*(T+1)", "T*(T+1)*(T+g)", "T^3+2T+1", "T^2(T+1)"]),
+    "--gamma": st.sampled_from(["1", "-1", "2", "g", "g^5"]),
+    "--n": st.integers(2, 12).map(str),
+    "--base-constants": st.integers(1, 8).map(str),
+}
+_JSON_INTS = st.one_of(st.integers(-2, 30),
+                       st.sampled_from([65537, 10 ** 30, 2.5, "9", True, None]))
+_PROFILES = st.one_of(
+    st.fixed_dictionaries(
+        {"q": st.one_of(st.sampled_from([2, 3, 4, 5, 9, 25, 27, 6, 1]), _JSON_INTS),
+         "infinity": st.lists(st.fixed_dictionaries({"e": _JSON_INTS, "t": _JSON_INTS}),
+                              max_size=3)},
+        optional={"finite": st.lists(st.fixed_dictionaries(
+                      {"deg": _JSON_INTS, "e": st.lists(_JSON_INTS, max_size=3)}), max_size=3),
+                  "s": _JSON_INTS,
+                  "geometric": st.sampled_from([True, False, None, "false", 0])}),
+    st.sampled_from([[], 7, "q", None, {}]),
+)
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    if draw(st.booleans()):
+        argv = [draw(st.sampled_from(["analyze", "genus"]))]
+        for flag, values in _RADICAL.items():
+            argv += [flag, draw(values)]
+        return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+    argv = [draw(st.sampled_from(["factor", "phi", "carlitz", "analyze", "genus",
+                                  "oracle-verify", "frobnicate"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=7)):
+        argv += [flag, draw(_VALUES[flag])]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(sorted(_VALUES))))  # a flag without its value
+    return argv
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(argv=_fuzzed_argv(), profile=_PROFILES)
+def test_fuzzed_argv_keeps_the_cli_contract(tmp_path, argv, profile):
+    """Any argv ends with exit 0, 1 or 2 in bounded time, with no traceback and
+    at most one stderr line, which starts with `error:`."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    proc = run_cli([str(path) if a == "PROFILE" else a for a in argv], timeout=30)
+    err = proc.stderr.decode()
+    assert proc.returncode in (0, 1, 2), err
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err

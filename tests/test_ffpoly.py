@@ -292,6 +292,11 @@ def test_tower_extension_embeds_base():
                 lambda: parse_element(ext, "g")):
         with pytest.raises(DomainError):
             bad()
+    # so the repr of a tower polynomial prints coefficient vectors
+    e = make_context(3, 1).extension(2)
+    assert repr(FqPoly(e, (e.from_int(4), e.one()))) == (
+        "FqPoly(F_3[^2], (FqElem(F_3[^2], (FqElem(F_3, '1'), FqElem(F_3, '1'))), "
+        "FqElem(F_3[^2], (FqElem(F_3, '1'), FqElem(F_3, '0')))))")
 
 
 def test_tower_repr_is_fast():
@@ -437,6 +442,14 @@ def test_factor_unit_and_constant():
 CONTEXTS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 2)]
 
 
+def expand(fac):
+    """unit * prod(poly^mult): the polynomial a factorization stands for."""
+    out = FqPoly.const(fac.unit.ctx, fac.unit)
+    for g, mult in fac.factors:
+        out = out * g ** mult
+    return out
+
+
 @pytest.mark.parametrize("p,m", CONTEXTS)
 def test_factor_recombines_exhaustive_small(p, m):
     ctx = make_context(p, m)
@@ -444,7 +457,7 @@ def test_factor_recombines_exhaustive_small(p, m):
     for d in range(1, maxdeg + 1):
         for f in monic_polys(ctx, d):
             fac = factor(f)
-            assert fac.expand() == f
+            assert expand(fac) == f
             for g, _ in fac.factors:
                 assert g.is_monic and is_irreducible(g)
 
@@ -459,7 +472,7 @@ def test_factor_recombines_random_to_degree_six(p, m):
         coeffs.append(ctx.from_int(rng.randrange(1, ctx.q)))
         f = FqPoly(ctx, tuple(coeffs))
         fac = factor(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert all(is_irreducible(g) for g, _ in fac.factors)
         assert fac.factors == tuple(sorted(fac.factors, key=lambda fm: fm[0].sort_key()))
 
@@ -483,7 +496,7 @@ def test_repeated_factors_char2():
     f = (x + FqPoly.const(ctx, ctx.one())) ** 4 * (x ** 2 + x + FqPoly.const(ctx, ctx.generator)) ** 2
     fac = factor(f)
     assert sorted(mult for _, mult in fac.factors) == [2, 4]
-    assert fac.expand() == f
+    assert expand(fac) == f
 
 
 # -- power residues --
@@ -533,7 +546,8 @@ def test_parse_extension_literals():
 
 def test_parse_errors():
     ctx = make_context(3, 1)
-    for bad in ["", "  ", "T + U", "T^", "1 +", "(T", "T?", "[1,]"]:
+    for bad in ["", "  ", "T + U", "T^", "1 +", "(T", "T?", "[1,]",
+                "(" * 1000 + "T" + ")" * 1000]:
         with pytest.raises(ParseError):
             parse_poly(ctx, bad)
     with pytest.raises(ParseError):
@@ -545,11 +559,13 @@ def test_parse_errors():
 def test_parse_caps_power_degree_before_expanding():
     ctx = make_context(3, 1)
     start = time.perf_counter()
-    for bad in ["T^99999999999", "T^65", "(T^2+1)^33", "(T^8)^9"]:
+    for bad in ["T^99999999999", "T^65", "(T^2+1)^33", "(T^8)^9", "T^32*T^33",
+                "*".join(["(T+1)^64"] * 2000)]:
         with pytest.raises(ParseError):
             parse_poly(ctx, bad)
     assert time.perf_counter() - start < 1.0
     assert parse_poly(ctx, "T^64").degree == 64
+    assert parse_poly(ctx, "T^32*T^32").degree == 64
     assert parse_poly(ctx, "(T^2+1)^32").degree == 64
     assert parse_poly(ctx, "2^100") == FqPoly.const(ctx, ctx.from_int(pow(2, 100, 3)))
     ext = make_context(5, 2)

@@ -41,7 +41,7 @@ from ffgenus.genus import (
     wild_bounds,
 )
 from ffgenus.oracle import enumerate_F
-from ffgenus.ramify import build_profile, profile_from_dict, radical_extension
+from ffgenus.ramify import build_profile, profile_from_dict, radical_extension, t0_radical
 
 
 def K_of(p, m, n, gamma_int, dtxt, s=1):
@@ -162,6 +162,30 @@ def test_report_runs_no_irreducibility_test(monkeypatch):
         assert calls == [], K
 
 
+def test_base_constants_build_no_tower_over_a_tower(monkeypatch):
+    # F_{q^s} is never built: the only extensions are residue fields F_{q^f}
+    # over the flat base, f the degree of a factor of X^d - gamma over F_q
+    calls = []
+    inner = ffpoly.FqContext.extension
+
+    def spy(ctx, r):
+        calls.append((ctx, r))
+        return inner(ctx, r)
+
+    monkeypatch.setattr(ffpoly.FqContext, "extension", spy)
+    for s in (2, 3, 4):
+        for p, m, n, gamma, dtxt in ((7, 1, 3, 3, "T*(T+1)*(T+2)"), (5, 1, 3, 2, "T*(T+1)"),
+                                     (2, 2, 3, 2, "T*(T+1)*(T+g)"), (5, 1, 3, 1, "T^3+T^2+T")):
+            K = K_of(p, m, n, gamma, dtxt, s)
+            calls.clear()
+            prof = build_profile(K)
+            genus_report(K)
+            d = gcd(K.D.degree, n)
+            assert t0_radical(K.gamma, d, s) == prof.t0
+            degrees = {h.degree for h in prof.infinity_factors}
+            assert all(ctx.base is None and r in degrees for ctx, r in calls), (K, calls)
+
+
 # -- splitting of infinite primes --
 
 
@@ -226,6 +250,10 @@ def test_infinity_data_matches_integer_orbit_model():
             d = rng.choice([x for x in range(1, 13) if x % p])
             e = rng.choice([x for x in (1, 2, 3) if x % p and d * x > 1])
             cases.append((q, p, m, s, d, e, rng.randrange(q - 1)))
+    for q in (4, 8):
+        p, m = fields[q]
+        for d in (3, 5):  # over F_8, X^5 - gamma has a quartic factor: four primes
+            cases.append((q, p, m, 4, d, 3, rng.randrange(q - 1)))
     seen, outcomes = set(), set()
     for q, p, m, s, d, e, l in cases:
         ctx = make_context(p, m)
@@ -233,11 +261,14 @@ def test_infinity_data_matches_integer_orbit_model():
         prof = build_profile(radical_extension(ctx, d * e, ctx.generator ** l, D, s))
         N, orbits = _orbit_model(q, s, d, l)
         assert sorted(t for _, t in prof.infinity) == sorted(t for _, t in orbits), prof
-        # the residue-tower reference factors over F_{q^t}: keep it to small fields
-        if q ** max(t for _, t in orbits) > 1 << 12:
+        # the residue data factors over F_{q^f}: keep it to small fields
+        if q ** max(h.degree for h in prof.infinity_factors) > 1 << 12:
             continue
         residues = _infinity_residue_data(prof)
         _, a, data = residues
+        # a factor of degree f over F_q stands for gcd(f, s) infinite primes
+        primes = [entry for h, entry in zip(prof.infinity_factors, data)
+                  for _ in range(gcd(h.degree, s))]
         for _ in range(20):
             eps, lu, deg = rng.randrange(1, 2 * q), rng.randrange(q - 1), rng.randrange(3 * d * e)
             u = ctx.generator ** lu
@@ -245,8 +276,8 @@ def test_infinity_data_matches_integer_orbit_model():
             # N/gcd(E, N) divides (q^t - 1)/gcd(eps, q^t - 1)
             want = sorted((q ** t, (e * deg) % eps == 0 and (q ** t - 1) // gcd(eps, q ** t - 1)
                            % (N // gcd(d * lu + j * a * deg, N)) == 0) for j, t in orbits)
-            got = sorted((top.q, _root_splits((e, a, [(top, r)]), eps, u, deg))
-                         for top, r in data)
+            got = sorted((q ** t, _root_splits((e, a, [(top, r, t)]), eps, u, deg))
+                         for top, r, t in primes)
             assert got == want, (prof, eps, lu, deg)
             assert _root_splits(residues, eps, u, deg) == all(ok for _, ok in want)
             outcomes.update(ok for _, ok in want)
