@@ -242,6 +242,26 @@ class _TowerElem(FqElem):
             e >>= 1
         return result
 
+    def inverse(self):
+        """Extended Euclid of the coefficient vector against the modulus, over the base.
+
+        With s_i * self = r_i mod the modulus, the remainders r_i reach a
+        nonzero constant because the modulus is irreducible, so the inverse
+        costs O(m^2) base operations where Fermat's self^(q-2) costs about
+        2 log2(q) tower products.
+        """
+        if self.is_zero():
+            raise DomainError("zero has no inverse")
+        c = self.ctx
+        base = c.base
+        r0, r1 = FqPoly(base, c.modulus + (base.one(),)), FqPoly(base, self.v)
+        s0, s1 = FqPoly(base, ()), FqPoly.const(base, base.one())
+        while r1.degree > 0:
+            qt, rem = r0.divrem(r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - qt * s1
+        s = s1.scale(r1.coeffs[0].inverse()).coeffs
+        return _TowerElem(c, s + (base.zero(),) * (c.m - len(s)))
+
     def is_zero(self):
         return all(a.is_zero() for a in self.v)
 
@@ -454,19 +474,44 @@ class FqContext:
         if r * self.mtot > MAX_TOWER_DEG:
             raise DomainError(
                 f"extension degree {r * self.mtot} over F_{self.p} exceeds cap {MAX_TOWER_DEG}")
-        modulus = None
         # constant coefficient must vary fastest: every candidate whose
         # constant term is zero is divisible by X, and enumerating them
         # first stalls the search for q^(r-1) candidates
-        for tail in itertools.product(range(self.q), repeat=r):
-            coeffs = tuple(self.from_int(c) for c in reversed(tail))
-            cand = FqPoly(self, coeffs + (self.one(),))
-            if is_irreducible(cand):
-                modulus = tuple(cand.coeffs[:r])
-                break
+        candidates = itertools.product(range(self.q), repeat=r)
+        modulus = None
+        if self.base is None:
+            # the first q candidates are the binomials X^r + c, decided by
+            # the order of -c alone; none of them is irreducible over F_{2^m}
+            # for even r, where the test would run q times in vain
+            modulus = self._binomial_modulus(r)
+            candidates = itertools.islice(candidates, self.q, None)
+        if modulus is None:
+            for tail in candidates:
+                coeffs = tuple(self.from_int(c) for c in reversed(tail))
+                cand = FqPoly(self, coeffs + (self.one(),))
+                if is_irreducible(cand):
+                    modulus = tuple(cand.coeffs[:r])
+                    break
         ctx = FqContext(self.p, r, self, modulus)
         self._ext_cache[r] = ctx
         return ctx
+
+    def _binomial_modulus(self, r):
+        """Low-first coefficients of the first irreducible X^r + c, or None.
+
+        X^r - a with a of order e is irreducible iff every prime l | r
+        divides e but not (q - 1)/e, and q = 1 mod 4 when 4 | r
+        (Lidl-Niederreiter, Thm 3.75). Needs the discrete log of a flat context.
+        """
+        if r % 4 == 0 and self.q % 4 != 1:
+            return None
+        n = self.q - 1
+        primes = list(factor_int(r))
+        for c in range(1, self.q):
+            e = (-self.from_int(c)).multiplicative_order()
+            if all(e % l == 0 and (n // e) % l for l in primes):
+                return (self.from_int(c),) + (self.zero(),) * (r - 1)
+        return None
 
     def dlog(self, a):
         """Discrete log of a nonzero element base the generator of a flat context."""
@@ -603,7 +648,9 @@ class FqPoly:
             raise DomainError("division by zero polynomial")
         if self.degree < other.degree:
             return FqPoly(self.ctx, ()), self
-        inv_lead = other.leading.inverse()
+        # a monic divisor needs no inverse: in a tower that is an extended
+        # Euclid, and every gcd, squarefree part and modulus here is monic
+        inv_lead = None if other.is_monic else other.leading.inverse()
         rem = list(self.coeffs)
         qt = [self.ctx.zero()] * (self.degree - other.degree + 1)
         db = other.degree
@@ -611,7 +658,7 @@ class FqPoly:
             c = rem[i]
             if c.is_zero():
                 continue
-            f = c * inv_lead
+            f = c if inv_lead is None else c * inv_lead
             qt[i - db] = f
             for j in range(db + 1):
                 rem[i - db + j] = rem[i - db + j] - f * other.coeffs[j]
@@ -624,6 +671,8 @@ class FqPoly:
         return self.divrem(other)[1]
 
     def __pow__(self, e):
+        if e < 0:
+            raise DomainError("a polynomial has no inverse: negative exponent")
         result = FqPoly.const(self.ctx, self.ctx.one())
         base = self
         while e:
@@ -681,7 +730,9 @@ def poly_gcd(a, b):
 
 
 def powmod(base, e, mod):
-    """base**e mod `mod` by square and multiply."""
+    """base**e mod `mod` by square and multiply, e >= 0."""
+    if e < 0:
+        raise DomainError("a polynomial has no inverse: negative exponent")
     result = FqPoly.const(base.ctx, base.ctx.one())
     base = base % mod
     while e:

@@ -247,9 +247,65 @@ def test_flat_kernel_matches_polynomial_basis(p, m):
     _check_kernel(make_context(p, m))
 
 
-@pytest.mark.parametrize("p,m,r", [(2, 2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("p,m,r", [(2, 2, 3), (3, 2, 2), (17, 1, 4)])
 def test_tower_kernel_matches_polynomial_basis(p, m, r):
     _check_kernel(make_context(p, m).extension(r))
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_tower_inverse_makes_no_tower_product(monkeypatch):
+    ctx = make_context(17, 1).extension(4)
+    rng = random.Random(4)
+    els = [ctx.from_int(rng.randrange(1, ctx.q)) for _ in range(30)]
+    invs = [a.inverse() for a in els]
+    assert all(a * b == ctx.one() for a, b in zip(els, invs))
+    products = _count_calls(monkeypatch, ffpoly._TowerElem, "__mul__")
+    assert [a.inverse() for a in els] == invs
+    assert products == []
+
+
+def test_divrem_by_monic_divisor_inverts_nothing(monkeypatch):
+    ctx = make_context(5, 2).extension(2)
+    rng = random.Random(5)
+    f = small_poly(ctx, rng, 8)
+    g = FqPoly(ctx, tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(3)) + (ctx.one(),))
+    inverses = _count_calls(monkeypatch, ffpoly._TowerElem, "inverse")
+    q, r = f.divrem(g)
+    assert inverses == []
+    assert q * g + r == f and r.degree < g.degree
+
+
+def test_divrem_reconstructs_over_a_tower():
+    ctx = make_context(3, 1).extension(3)
+    rng = random.Random(3)
+    for _ in range(60):
+        f, g = small_poly(ctx, rng, 6), small_poly(ctx, rng, 4)
+        if g.is_zero():
+            continue
+        for h in (g, g.monic()):
+            q, r = f.divrem(h)
+            assert q * h + r == f and r.degree < h.degree
+
+
+def test_negative_polynomial_powers_raise():
+    ctx = make_context(3, 1)
+    f = P(ctx, "T+1")
+    with pytest.raises(DomainError):
+        f ** -1
+    with pytest.raises(DomainError):
+        ffpoly.powmod(f, -1, P(ctx, "T^2+1"))
+    assert f ** 0 == P(ctx, "1")
 
 
 def test_context_is_cached():
@@ -311,6 +367,39 @@ def test_tower_repr_is_fast():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(b"FqElem(F_2^16[^2], (FqElem(F_2^16, ")
+
+
+def _first_irreducible_modulus(ctx, r):
+    for tail in itertools.product(range(ctx.q), repeat=r):
+        cand = FqPoly(ctx, tuple(ctx.from_int(c) for c in reversed(tail)) + (ctx.one(),))
+        if is_irreducible(cand):
+            return cand.coeffs[:r]
+
+
+@pytest.mark.parametrize("p,m,r", [
+    (2, 1, 2), (2, 1, 4), (2, 3, 2), (2, 4, 3), (3, 1, 2), (3, 1, 4), (3, 1, 6), (3, 2, 2),
+    (3, 2, 4), (5, 1, 2), (5, 1, 4), (5, 1, 5), (5, 2, 3), (7, 1, 3), (7, 1, 4), (13, 1, 3),
+    (17, 1, 4), (31, 1, 2), (2, 8, 2)])
+def test_extension_modulus_is_first_irreducible_candidate(p, m, r):
+    # binomials X^r + c are decided by Lidl-Niederreiter 3.75; the reference
+    # tests every candidate in search order with is_irreducible
+    ctx = make_context(p, m)
+    assert ctx.extension(r).modulus == _first_irreducible_modulus(ctx, r)
+
+
+def test_binary_quadratic_extension_builds_fast():
+    # over F_{2^m} every X^2 + c is a square: no binomial is tested in vain
+    ctx = make_context(2, 16)
+    ctx._ext_cache.pop(2, None)
+    start = time.perf_counter()
+    ext = ctx.extension(2)
+    assert time.perf_counter() - start < 1.0
+    # so the first irreducible candidate is X^2 + X + c with c smallest
+    c, one = ext.modulus
+    assert one == ctx.one()
+    tests = [is_irreducible(FqPoly(ctx, (ctx.from_int(i), one, one)))
+             for i in range(c.to_int() + 1)]
+    assert tests == [False] * c.to_int() + [True]
 
 
 def test_extension_degree_one_is_identity():

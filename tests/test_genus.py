@@ -40,8 +40,9 @@ from ffgenus.genus import (
     render_report,
     wild_bounds,
 )
-from ffgenus.oracle import enumerate_F
-from ffgenus.ramify import build_profile, profile_from_dict, radical_extension, t0_radical
+from ffgenus.oracle import enumerate_F, splitting_at_finite
+from ffgenus.ramify import (
+    build_profile, profile_from_dict, radical_extension, ram_finite, t0_radical)
 
 
 def K_of(p, m, n, gamma_int, dtxt, s=1):
@@ -777,7 +778,49 @@ def test_random_tame_report_invariants():
                 assert splits(K, g.e, parse_element(ctx, g.unit), parse_poly(ctx, g.poly))
 
 
-# -- field expression utilities --
+def test_random_report_invariants_over_larger_fields():
+    # q > 25, prime and prime-power, with base constants s in {1, 2, 3}; a
+    # nonlinear factor of X^d - gamma puts its residue field in a tower
+    rng = random.Random(20261018)
+    ctxs = [make_context(31, 1), make_context(3, 3), make_context(7, 2), make_context(2, 5)]
+    checked = towers = 0
+    while checked < 200:
+        ctx = rng.choice(ctxs)
+        q = ctx.q
+        n = rng.choice([k for k in range(2, 13) if k % ctx.p])
+        Ps, D = [], FqPoly.const(ctx, ctx.one())
+        while len(Ps) < rng.randrange(1, 4):
+            P = FqPoly(ctx, tuple(ctx.from_int(rng.randrange(q)) for _ in range(
+                rng.randrange(1, 3))) + (ctx.one(),))
+            if P not in Ps and is_irreducible(P):
+                Ps.append(P)
+        for P in Ps:
+            D = D * P ** rng.randrange(1, n)
+        try:
+            K = radical_extension(ctx, n, ctx.from_int(rng.randrange(1, q)), D,
+                                  rng.choice([1, 2, 3]))
+        except DomainError:  # X^n - gamma*D reducible: draw again
+            continue
+        r = genus_report(K)
+        c, prof = r.components, r.profile
+        assert gcd(c.c_inf, c.e_inf) % c.cprime_bound == 0
+        if c.cprime_exact is not None:
+            assert gcd(c.c_inf, c.e_inf) % c.cprime_exact == 0
+        for pl in c.places:
+            lo, hi = estar_interval(q, pl.e_P, pl.deg)
+            assert pl.c_P % lo == 0 and pl.e_P % pl.c_P == 0 and hi == pl.e_P
+        assert all(t % r.t0 == 0 for _, t in prof.infinity)
+        assert len(c.F0.radicals + c.F0.cyclo) == sum(1 for pl in c.places if pl.c_P > 1)
+        if r.exact:
+            assert r.exact_field == r.lower
+        if K.s == 1:
+            ram = dict(ram_finite(K))
+            for P, _ in K.D_factors.factors:
+                if q ** P.degree <= 81:
+                    assert splitting_at_finite(K, P) == (ram[P], ())
+        checked += 1
+        towers += any(h.degree > 1 for h in prof.infinity_factors)
+    assert towers >= 20
 
 
 def test_field_expr_dedupes_and_sorts():
