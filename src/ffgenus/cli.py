@@ -110,7 +110,7 @@ def cmd_phi(args):
 def cmd_carlitz(args):
     ctx = context_from_field(args.field)
     rho = carlitz_action(parse_poly(ctx, normalize_poly_text(args.poly)))
-    coeffs = [render_poly(c) for c in rho.coeffs]
+    coeffs = [render_poly(c) for c in rho]
     text = "\n".join(f"u^(q^{j}): {c}" for j, c in enumerate(coeffs))
     return {"coeffs": coeffs}, text, 0
 

@@ -700,17 +700,6 @@ class FqPoly:
             out.append(c * self.ctx.from_int(i % self.ctx.p))
         return FqPoly(self.ctx, tuple(out))
 
-    def frobenius_power(self, e):
-        """self**(q^j) for q^j = e computed by the semilinear exponent map."""
-        if self.is_zero():
-            return self
-        zero = self.ctx.zero()
-        out = [zero] * (self.degree * e + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out[i * e] = c ** e
-        return FqPoly(self.ctx, tuple(out))
-
     def sort_key(self):
         return (self.degree, tuple(c.to_int() for c in self.coeffs))
 

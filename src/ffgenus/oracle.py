@@ -93,9 +93,10 @@ def unit_count(M):
     return count
 
 
-def _xdict(rho):
-    q = rho.ctx.q
-    return {q ** j: c for j, c in enumerate(rho.coeffs) if not c.is_zero()}
+def _xdict(M):
+    """rho_M as {exponent of X: coefficient}, zero coefficients left out."""
+    q = M.ctx.q
+    return {q ** j: c for j, c in enumerate(carlitz_action(M)) if not c.is_zero()}
 
 
 def _xdict_mul(a, b):
@@ -127,7 +128,7 @@ def _qpow_chain(N):
     Sweeps pair each N with many M, so the chains of the last 128
     multipliers are kept; a bound, since every distinct N adds one.
     """
-    return [_xdict(carlitz_action(N))]
+    return [_xdict(N)]
 
 
 def _xdict_sum(a, b):
@@ -143,7 +144,7 @@ def carlitz_compose_check(M, N):
 
     The composite rho_M(rho_N(X)) is expanded by substituting rho_N into
     rho_M as a plain polynomial in X (dict arithmetic, generic powering),
-    not by the twisted product, and compared against rho_{M*N}; the sum
+    not by carlitz_action's recursion, and compared against rho_{M*N}; the sum
     law rho_{M+N} = rho_M + rho_N is compared componentwise.
     """
     for f in (M, N):
@@ -169,10 +170,10 @@ def carlitz_compose_check(M, N):
             term = a * c
             composed[e] = term if prev is None else prev + term
     composed = {e: c for e, c in composed.items() if not c.is_zero()}
-    if composed != _xdict(carlitz_action(M * N)):
+    if composed != _xdict(M * N):
         return False
     total = M + N
-    lhs = {} if total.is_zero() else _xdict(carlitz_action(total))
+    lhs = {} if total.is_zero() else _xdict(total)
     return lhs == _xdict_sum(rho_m, chain[0])
 
 

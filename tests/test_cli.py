@@ -145,6 +145,20 @@ def test_base_constants_end_fast(argv, code, line):
     assert line in (proc.stdout if code == 0 else proc.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["carlitz", "--field", "2", "--poly", "T^20"],  # q^deg M = MAX_X_DEG
+    ["carlitz", "--field", "3", "--poly", "T^12"],
+    ["phi", "--field", "3^10", "--poly", "T+1"],  # the slowest field build
+    ["genus", "--field", "25", "--n", "24", "--gamma", "1",
+     "--poly", "T*(T+1)*(T+2)*(T^2+T+g)"],  # a 331,776-element subfield lattice
+], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24"])
+def test_valid_inputs_at_a_cap_end_within_budget(argv):
+    start = time.perf_counter()
+    proc = run_cli(argv, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_profile_file_runs_abstract_path(capsys, tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({
@@ -317,16 +331,21 @@ def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
 
-def _golden_id(case):
-    argv = case["argv"]
-    return f"{argv[0]}-{argv[2]}" + ("-json" if "json" in argv else "")
+def _golden_ids(cases):
+    """command-field[-json], with --poly appended where that repeats an earlier id."""
+    ids = []
+    for argv in (case["argv"] for case in cases):
+        gid = f"{argv[0]}-{argv[2]}" + ("-json" if "json" in argv else "")
+        ids.append(f"{gid}-{argv[4]}" if gid in ids else gid)
+    return ids
 
 
-@pytest.mark.parametrize("case", GOLDENS, ids=_golden_id)
+@pytest.mark.parametrize("case", GOLDENS, ids=_golden_ids(GOLDENS))
 def test_cli_golden_output(capsys, case):
     """factor/phi/carlitz/analyze/genus over q = 3 .. 2^12 and oracle-verify
-    over q <= 25, captured before the integer element kernel: stdout must
-    match byte for byte."""
+    over q <= 25, captured before the integer element kernel, and carlitz at
+    degree 12 over F_2 and 11 over F_3, captured before the coefficient
+    recursion: stdout must match byte for byte."""
     code, out = run_main(capsys, case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
 

@@ -678,12 +678,3 @@ def test_render_element_canonical():
     assert render_element(ctx.generator) == "g"
     assert render_element(ctx.generator ** 5) == "g^5"
     assert render_poly(FqPoly.from_ints(make_context(3, 1), [1, 0, 2])) == "2*T^2 + 1"
-
-
-def test_frobenius_power_matches_pow():
-    ctx = make_context(3, 2)
-    rng = random.Random(7)
-    for _ in range(20):
-        f = small_poly(ctx, rng, 4)
-        assert f.frobenius_power(3) == f ** 3
-        assert f.frobenius_power(9) == f ** 9
