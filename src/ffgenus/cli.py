@@ -8,7 +8,6 @@ plain text or JSON. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import re
 import sys
@@ -162,6 +161,8 @@ def cmd_analyze(args):
 
 
 def _load_profile(path):
+    import json  # imported by its users only, off the start-up path of text output
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -333,7 +334,11 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2) if args.format == "json" else text)
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, indent=2)
+    print(text)
     return code
 
 

@@ -10,12 +10,20 @@ without any explicit embedding maps.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from array import array
 from collections import namedtuple
 from math import gcd
+
+try:
+    # the interpreter's builtin SHA-256; hashlib would load OpenSSL on every start
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 MAX_Q = 1 << 16
 MAX_TOWER_DEG = 64
@@ -765,7 +773,7 @@ class Factorization(namedtuple("Factorization", "unit factors")):
 def _poly_seed(f):
     parts = [str(f.ctx.p), str(f.ctx.mtot)]
     parts.extend(str(c.to_int()) for c in f.coeffs)
-    digest = hashlib.sha256(",".join(parts).encode()).digest()
+    digest = sha256(",".join(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

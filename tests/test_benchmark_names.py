@@ -9,6 +9,8 @@ harness files as they are and fail on such a deletion instead.
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ffgenus
@@ -41,3 +43,20 @@ def test_worker_package_calls_resolve():
     names = set(re.findall(r"\bfg\.(\w+)", (PERFBENCH / "worker.py").read_text()))
     assert names
     assert sorted(n for n in names if not hasattr(ffgenus, n)) == []
+
+
+def test_bare_import_loads_every_package_module():
+    """`import ffgenus` alone loads the five modules that the tracer wraps.
+
+    `Tracer.install()` wraps only modules already in `sys.modules`, so the spans of a
+    module imported later read 0, and it raises on a missing `ffgenus.ffpoly`. Making
+    package modules lazy (ROADMAP item 9) may lift this check only together with the
+    tracer change of item 7, which imports or hooks every module before it wraps.
+    """
+    names = ("ffpoly", "carlitz", "ramify", "genus", "oracle")
+    code = ("import sys, ffgenus\n"
+            f"print(sorted(m for m in {names!r} if 'ffgenus.' + m not in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

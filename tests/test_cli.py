@@ -249,15 +249,19 @@ EXACT [F_equals_F0]: K_ge = k((2*(T^2 + T))^(1/1000000000000000003))
 """
 
 
-def test_import_leaves_sympy_unloaded():
-    # none of these is needed at run time, and each costs start-up time on every call
-    code = ("import sys, ffgenus, ffgenus.cli\n"
-            "print(sorted(m for m in ('sympy', 'dataclasses', 'inspect', 'fractions')\n"
-            "             if m in sys.modules))")
+def test_text_command_leaves_heavy_modules_unloaded():
+    # none of these is needed by a text command, and each costs start-up time on every
+    # call: hashlib loads OpenSSL (_hashlib), json is only for --format json and --profile
+    code = ("import contextlib, io, sys, ffgenus, ffgenus.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ffgenus.cli.main(['phi', '--field', '3', '--poly', 'T+1'])\n"
+            "print(code, sorted(m for m in ('sympy', 'dataclasses', 'inspect', 'fractions',\n"
+            "                               'hashlib', '_hashlib', 'json')\n"
+            "                   if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 []\n"
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -579,6 +579,19 @@ def test_factor_is_deterministic():
     assert factor(f) == factor(f)
 
 
+def test_poly_seed_digests_are_pinned():
+    # the splitting seed is the first 8 bytes of SHA-256 over "p,mtot,coeffs...";
+    # these values were taken with hashlib, so the builtin sha256 of every
+    # supported interpreter must give the same seeds and hence the same factor order
+    t = make_context(3, 1).extension(2)
+    cases = [
+        (P(make_context(3, 1), "T^2+1"), 0xd870398a1e4d369d),
+        (P(make_context(2, 4), "T^3+g*T+1"), 0xf7027f658e78f470),
+        (FqPoly(t, (t.from_int(5), t.from_int(0), t.one())), 0xa475c3a93aaeca6d),
+    ]
+    assert [ffpoly._poly_seed(f) for f, _ in cases] == [seed for _, seed in cases]
+
+
 def test_repeated_factors_char2():
     ctx = make_context(2, 2)
     x = FqPoly.x(ctx)
