@@ -185,9 +185,10 @@ def cmd_genus(args):
     return report_json(report), render_report(report), 0
 
 
-# largest field, in elements, that the t0 check enumerates: q <= 25 stays
-# within it, while F_27^4 or F_16^5 would take minutes
-T0_ENUM_BUDGET = 1 << 16
+# most elements or candidates an oracle-verify check enumerates: the t0 check
+# scans a splitting field (q <= 25 stays within it; F_27^4 would take minutes),
+# the splitting check trial-divides X^n - c at q places, q^(n//2 + 1) in all
+ENUM_BUDGET = 1 << 16
 
 
 def cmd_oracle_verify(args):
@@ -224,7 +225,7 @@ def cmd_oracle_verify(args):
         cases = [(ctx.from_int(g), d) for d in range(1, 7) if d % ctx.p
                  for g in (1, ctx.q - 1)]
         # the oracle scans every element of the field holding the roots
-        if any(ctx.q ** root_field_degree(gamma, d) > T0_ENUM_BUDGET for gamma, d in cases):
+        if any(ctx.q ** root_field_degree(gamma, d) > ENUM_BUDGET for gamma, d in cases):
             return None
         return all(t0_root_degrees(gamma, d) == t0_radical(gamma, d, 1) for gamma, d in cases)
 
@@ -237,6 +238,8 @@ def cmd_oracle_verify(args):
         K = _radical_from_args(args)
 
         def check_splitting():
+            if ctx.q ** (K.n // 2 + 1) > ENUM_BUDGET:
+                return None
             expected = dict(ram_finite(K))
             for P in monic_polys(ctx, 1):
                 e, degs = splitting_at_finite(K, P)

@@ -11,6 +11,7 @@ without any explicit embedding maps.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from array import array
 from collections import namedtuple
@@ -61,6 +62,19 @@ def factor_int(n):
         d += 1 if d == 2 else 2
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
+    return out
+
+
+def _power(x, e, one, mul):
+    """x^e by right-to-left square and multiply, products by `mul` (the last square is spare)."""
+    if e < 0:  # element powers reduce e mod q - 1 first, so only a polynomial gets here
+        raise DomainError("a polynomial has no inverse: negative exponent")
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
     return out
 
 
@@ -240,15 +254,7 @@ class _TowerElem(FqElem):
             if e == 0:
                 return c.one()
             raise DomainError("zero has no inverse")
-        e %= c.q - 1
-        result = c.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e % (c.q - 1), c.one(), operator.mul)
 
     def inverse(self):
         """Extended Euclid of the coefficient vector against the modulus, over the base.
@@ -345,17 +351,9 @@ def _flat_tables(p, m, modulus):
         def mul(a, b):
             return _mulmod_digits(a, b, p, modulus)
 
-    def power(a, e):
-        out = one
-        for bit in bin(e)[2:]:
-            out = mul(out, out)
-            if bit == "1":
-                out = mul(out, a)
-        return out
-
     for gen in range(1, q):
         gd = gen if p == 2 else _digits(gen, p, m)
-        if all(power(gd, n // r) != one for r in primes):
+        if all(_power(gd, n // r, one, mul) != one for r in primes):
             break
     exp = array("H", [0]) * n
     if m == 1:
@@ -396,13 +394,12 @@ def _flat_tables(p, m, modulus):
 class FqContext:
     """The finite field F_q with a deterministic modulus and generator.
 
-    The modulus is the lexicographically smallest monic irreducible of
-    its degree over the coefficient field, with coefficient tuples
-    compared as integer tuples: low degree first for a flat context,
-    high degree first for a tower (extension() varies the constant term
-    fastest). So two contexts with the same parameters behave
-    identically. A flat context (base None) builds its generator, the
-    smallest element of full multiplicative order, and its exp/log
+    The modulus is the first monic irreducible of its degree over the
+    coefficient field in the order of `_first_irreducible`, except that
+    an extension of a flat context takes the first irreducible binomial
+    X^r + c when there is one. So two contexts with the same parameters
+    behave identically. A flat context (base None) builds its generator,
+    the smallest element of full multiplicative order, and its exp/log
     tables on construction. A tower has no generator (None) and no
     discrete log.
     """
@@ -482,26 +479,12 @@ class FqContext:
         if r * self.mtot > MAX_TOWER_DEG:
             raise DomainError(
                 f"extension degree {r * self.mtot} over F_{self.p} exceeds cap {MAX_TOWER_DEG}")
-        # constant coefficient must vary fastest: every candidate whose
-        # constant term is zero is divisible by X, and enumerating them
-        # first stalls the search for q^(r-1) candidates
-        candidates = itertools.product(range(self.q), repeat=r)
-        modulus = None
-        if self.base is None:
-            # the first q candidates are the binomials X^r + c, decided by
-            # the order of -c alone; none of them is irreducible over F_{2^m}
-            # for even r, where the test would run q times in vain
-            modulus = self._binomial_modulus(r)
-            candidates = itertools.islice(candidates, self.q, None)
+        # a binomial X^r + c is decided by the order of -c alone, with no
+        # irreducibility test
+        modulus = self._binomial_modulus(r) if self.base is None else None
         if modulus is None:
-            for tail in candidates:
-                coeffs = tuple(self.from_int(c) for c in reversed(tail))
-                cand = FqPoly(self, coeffs + (self.one(),))
-                if is_irreducible(cand):
-                    modulus = tuple(cand.coeffs[:r])
-                    break
-        ctx = FqContext(self.p, r, self, modulus)
-        self._ext_cache[r] = ctx
+            modulus = tuple(map(self.from_int, _first_irreducible(self, r)))
+        self._ext_cache[r] = ctx = FqContext(self.p, r, self, modulus)
         return ctx
 
     def _binomial_modulus(self, r):
@@ -535,15 +518,27 @@ class FqContext:
         return f"{self.base!r}[^{self.m}]"
 
 
+def _first_irreducible(ctx, r):
+    """Indices (c_0, ..., c_{r-1}) of the first monic irreducible of degree r.
+
+    The candidates X^r + c_{r-1} X^{r-1} + ... + c_0 over ctx are walked with
+    their index tuples in lexicographic order from c_0 = 1, since X divides the rest.
+    """
+    one = ctx.one()
+    for tail in itertools.product(range(1, ctx.q), *[range(ctx.q)] * (r - 1)):
+        if is_irreducible(FqPoly(ctx, tuple(map(ctx.from_int, tail)) + (one,))):
+            return tail
+
+
 _CTX_CACHE = {}
 
 
 def make_context(p, m):
     """Construct F_{p^m} with the canonical modulus and generator.
 
-    The modulus is the lexicographically smallest monic irreducible of
-    degree m over F_p and the generator the smallest element of order
-    p^m - 1, making all downstream output reproducible.
+    The modulus is the first monic irreducible of degree m over F_p in
+    the order of `_first_irreducible`, and the generator the smallest
+    element of order p^m - 1, making all downstream output reproducible.
     """
     if not isinstance(p, int) or not isinstance(m, int):
         raise DomainError("p and m must be integers")
@@ -554,23 +549,10 @@ def make_context(p, m):
         raise DomainError(f"q = {p}^{m} exceeds cap {MAX_Q}")
     if p < 2 or factor_int(p) != {p: 1}:
         raise DomainError(f"{p} is not prime")
-    key = (p, m)
-    if key in _CTX_CACHE:
-        return _CTX_CACHE[key]
-    if m == 1:
-        ctx = FqContext(p, 1, None, (0,))
-    else:
-        base = make_context(p, 1)
-        modulus = None
-        # candidates with constant term 0 are divisible by X: skip them
-        for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
-            cand = FqPoly.from_ints(base, list(tail) + [1])
-            if is_irreducible(cand):
-                modulus = tail
-                break
-        ctx = FqContext(p, m, None, modulus)
-    _CTX_CACHE[key] = ctx
-    return ctx
+    if (p, m) not in _CTX_CACHE:
+        modulus = (0,) if m == 1 else _first_irreducible(make_context(p, 1), m)
+        _CTX_CACHE[p, m] = FqContext(p, m, None, modulus)
+    return _CTX_CACHE[p, m]
 
 
 class FqPoly:
@@ -679,16 +661,7 @@ class FqPoly:
         return self.divrem(other)[1]
 
     def __pow__(self, e):
-        if e < 0:
-            raise DomainError("a polynomial has no inverse: negative exponent")
-        result = FqPoly.const(self.ctx, self.ctx.one())
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, FqPoly.const(self.ctx, self.ctx.one()), operator.mul)
 
     def monic(self):
         if self.is_zero() or self.is_monic:
@@ -728,16 +701,8 @@ def poly_gcd(a, b):
 
 def powmod(base, e, mod):
     """base**e mod `mod` by square and multiply, e >= 0."""
-    if e < 0:
-        raise DomainError("a polynomial has no inverse: negative exponent")
-    result = FqPoly.const(base.ctx, base.ctx.one())
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return _power(base % mod, e, FqPoly.const(base.ctx, base.ctx.one()),
+                  lambda a, b: a * b % mod)
 
 
 def is_irreducible(f):

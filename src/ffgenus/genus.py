@@ -362,15 +362,13 @@ def find_F(profile, comps):
     w_i = deg P_i * N'/c_i, and the splitting classes form a subgroup hZ/N'.
     So F is the field of {x : sum w_i x_i = 0 mod h}, F_0 meet R+ that of
     the same congruence mod N', and c'_inf = N'/lcm(h, gcd(N', w)) is the
-    index between them. Degrades to the bound-only result (F left None)
-    when some c_P is not Kummer-accessible while c_inf > 1.
+    index between them. Returns _bound_only(comps) when c_inf = 1 or some
+    c_P is not Kummer-accessible.
     """
     K = profile.radical
     q = K.ctx.q
-    if comps.c_inf == 1:
-        return comps._replace(cprime_exact=1, F=comps.F0)
     ram = [pl for pl in comps.places if pl.c_P > 1]
-    if any((q - 1) % pl.c_P != 0 for pl in ram):
+    if comps.c_inf == 1 or any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
     # build_F0 lists the places in the order of profile.finite
     Ps = [fp.P for fp, pl in zip(profile.finite, comps.places) if pl.c_P > 1]
@@ -398,7 +396,9 @@ def find_F(profile, comps):
 
 
 def _bound_only(comps):
-    # c'_inf | gcd(c_inf, e_inf), so a trivial bound still pins it
+    # c_inf = 1 makes all of F_0 split; else c'_inf | gcd(c_inf, e_inf), so a trivial bound pins it
+    if comps.c_inf == 1:
+        return comps._replace(cprime_exact=1, F=comps.F0)
     if comps.cprime_bound == 1:
         if comps.F0_plus_deg == 1:
             # [F : k] = c'_inf * [F_0 cap R^+ : k] = 1 forces F = k
@@ -576,10 +576,7 @@ def genus_report_abstract(profile):
     wild = wild_bounds(profile)
     t0 = profile.t0
     t0_tame = t0 // profile.p ** p_adic_val(profile.p, t0)
-    if comps.c_inf == 1:
-        comps = comps._replace(cprime_exact=1, F=comps.F0)
-    else:
-        comps = _bound_only(comps)
+    comps = _bound_only(comps)
     exact = comps.c_inf == 1 and wild.tame_case_constants_only
     comps, lower, upper, exact_field = _sandwich(
         comps, OpaqueGen("K", None), exact, t0 if exact else t0_tame)

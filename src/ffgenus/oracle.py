@@ -46,7 +46,8 @@ def naive_factor(f):
     """Factorization by trial division, candidates in ascending degree.
 
     Divisors are extracted smallest first, so everything extracted is
-    irreducible and whatever survives past degree deg/2 is too.
+    irreducible and whatever survives past degree deg/2 is too. About
+    q^(deg//2) candidates are tried, and above MAX_ENUM none.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -55,6 +56,8 @@ def naive_factor(f):
         raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
     if f.degree > MAX_ORACLE_DEG:
         raise DomainError(f"degree {f.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
+    if ctx.q ** (f.degree // 2) > MAX_ENUM:
+        raise DomainError(f"{ctx.q}^{f.degree // 2} trial divisors exceed the enumeration cap")
     unit = f.leading
     work = f.monic()
     found = []
@@ -322,10 +325,8 @@ def enumerate_F(profile, comps):
     """
     K = profile.radical
     q = K.ctx.q
-    if comps.c_inf == 1:
-        return comps._replace(cprime_exact=1, F=comps.F0)
     ram = [pl for pl in comps.places if pl.c_P > 1]
-    if any((q - 1) % pl.c_P != 0 for pl in ram):
+    if comps.c_inf == 1 or any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
     size = prod(pl.c_P for pl in ram)
     if size > MAX_ENUM:

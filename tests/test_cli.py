@@ -151,7 +151,11 @@ def test_base_constants_end_fast(argv, code, line):
     ["phi", "--field", "3^10", "--poly", "T+1"],  # the slowest field build
     ["genus", "--field", "25", "--n", "24", "--gamma", "1",
      "--poly", "T*(T+1)*(T+2)*(T^2+T+g)"],  # a 331,776-element subfield lattice
-], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24"])
+    # the splitting check would trial-divide X^n - c by about q^(n/2) candidates
+    ["oracle-verify", "--field", "17", "--n", "16", "--gamma", "3", "--poly", "T"],
+    ["oracle-verify", "--field", "32", "--n", "9", "--gamma", "g", "--poly", "T"],
+], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24",
+        "oracle-verify-17-n16", "oracle-verify-32-n9"])
 def test_valid_inputs_at_a_cap_end_within_budget(argv):
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)
@@ -184,6 +188,16 @@ def test_profile_conflicts_and_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["genus", "--profile", str(path), "--n", "2"]) == 2
     capsys.readouterr()
+
+
+def test_oracle_verify_splitting_check_keeps_to_its_budget(capsys):
+    # about q^(n//2 + 1) trial divisors over all linear places: 7^5 stay within
+    # cli.ENUM_BUDGET and run, 17^9 do not and are skipped
+    for field, n, tag in (("7", "9", "ok  "), ("17", "16", "skip")):
+        code, out = run_main(capsys, ["oracle-verify", "--field", field, "--n", n,
+                                      "--gamma", "3", "--poly", "T"])
+        assert code == 0
+        assert f"{tag} splitting_at_finite vs ram_finite\n" in out, (field, n)
 
 
 def test_oracle_verify_passes(capsys):

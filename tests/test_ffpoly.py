@@ -111,17 +111,35 @@ def _prime_powers(limit):
     return out
 
 
-def test_modulus_is_first_irreducible_in_full_order():
-    # the search skips candidates with constant term 0; the reference walks
-    # every monic candidate in lexicographic order, X-divisible ones included
+def _sympy_first_irreducible(p, m):
+    # every monic candidate in lexicographic order of (c_0, ..., c_{m-1});
+    # one with c_0 = 0 is divisible by X and needs no sympy call
     X = sympy.symbols("X")
+    for tail in itertools.product(range(p), repeat=m):
+        if tail[0] and sympy.Poly([1] + list(reversed(tail)), X, modulus=p).is_irreducible:
+            return tail
+
+
+def test_modulus_is_first_irreducible_in_full_order():
     for p, m in _prime_powers(1 << 12):
-        if m == 1:
-            continue
-        for tail in itertools.product(range(p), repeat=m):
-            if sympy.Poly([1] + list(reversed(tail)), X, modulus=p).is_irreducible:
-                break
-        assert make_context(p, m).modulus == tail, (p, m)
+        if m > 1:
+            assert make_context(p, m).modulus == _sympy_first_irreducible(p, m), (p, m)
+
+
+# four of the fields with 2^12 < q <= 2^16 of degree 2 and four of higher degree
+_LARGE = [(p, m) for p, m in _prime_powers(MAX_Q) if m > 1 and p ** m > 1 << 12]
+LARGE_FIELDS = sorted(random.Random(16).sample([f for f in _LARGE if f[1] == 2], 4)
+                      + random.Random(16).sample([f for f in _LARGE if f[1] > 2], 4))
+
+
+@pytest.mark.parametrize("p,m", LARGE_FIELDS)
+def test_large_field_modulus_and_generator(p, m):
+    # the modulus search and the generator's order test run on every field build
+    ctx = make_context(p, m)
+    assert ctx.modulus == _sympy_first_irreducible(p, m)
+    R = _PolyBasis(ctx)
+    gen = next(i for i in range(1, ctx.q) if R.order(R.vec(ctx.from_int(i))) == ctx.q - 1)
+    assert ctx.generator.to_int() == gen
 
 
 @pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
@@ -370,8 +388,14 @@ def test_tower_repr_is_fast():
 
 
 def _first_irreducible_modulus(ctx, r):
-    for tail in itertools.product(range(ctx.q), repeat=r):
-        cand = FqPoly(ctx, tuple(ctx.from_int(c) for c in reversed(tail)) + (ctx.one(),))
+    # the binomials X^r + c first, then every (c_0, ..., c_{r-1}) with c_0 >= 1
+    # in lexicographic order; in characteristic 2 with r even, X^r + c is a
+    # square and the binomials are passed over
+    binomials = [] if ctx.p == 2 and r % 2 == 0 else [
+        (c,) + (0,) * (r - 1) for c in range(1, ctx.q)]
+    rest = itertools.product(range(1, ctx.q), *[range(ctx.q)] * (r - 1))
+    for tail in itertools.chain(binomials, rest):
+        cand = FqPoly(ctx, tuple(ctx.from_int(c) for c in tail) + (ctx.one(),))
         if is_irreducible(cand):
             return cand.coeffs[:r]
 
@@ -382,24 +406,23 @@ def _first_irreducible_modulus(ctx, r):
     (17, 1, 4), (31, 1, 2), (2, 8, 2)])
 def test_extension_modulus_is_first_irreducible_candidate(p, m, r):
     # binomials X^r + c are decided by Lidl-Niederreiter 3.75; the reference
-    # tests every candidate in search order with is_irreducible
+    # tests every candidate in search order with is_irreducible, and the
+    # X-divisible candidates of the lexicographic order are left out
     ctx = make_context(p, m)
     assert ctx.extension(r).modulus == _first_irreducible_modulus(ctx, r)
 
 
 def test_binary_quadratic_extension_builds_fast():
-    # over F_{2^m} every X^2 + c is a square: no binomial is tested in vain
-    ctx = make_context(2, 16)
-    ctx._ext_cache.pop(2, None)
-    start = time.perf_counter()
-    ext = ctx.extension(2)
-    assert time.perf_counter() - start < 1.0
-    # so the first irreducible candidate is X^2 + X + c with c smallest
-    c, one = ext.modulus
-    assert one == ctx.one()
-    tests = [is_irreducible(FqPoly(ctx, (ctx.from_int(i), one, one)))
-             for i in range(c.to_int() + 1)]
-    assert tests == [False] * c.to_int() + [True]
+    # over F_{2^m} with r even every X^r + c is a square: no binomial is
+    # tested in vain, and the first irreducible lies early in the search
+    # order (F_256[^4] took 21.2 s when the constant term varied fastest)
+    for m, r in ((16, 2), (8, 4)):
+        ctx = make_context(2, m)
+        ctx._ext_cache.pop(r, None)
+        start = time.perf_counter()
+        ext = ctx.extension(r)
+        assert time.perf_counter() - start < 1.0, (m, r)
+        assert ext.modulus == _first_irreducible_modulus(ctx, r), (m, r)
 
 
 def test_extension_degree_one_is_identity():

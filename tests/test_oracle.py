@@ -109,6 +109,10 @@ def test_naive_factor_rejects_zero_and_caps():
     with pytest.raises(DomainError, match="exceeds oracle cap 81"):
         naive_factor(FqPoly.x(C128) ** 5)
     assert naive_factor(FqPoly.x(C25) ** 5).factors == ((FqPoly.x(C25), 5),)
+    # within both caps, but about 17^8 trial divisors: refused, not run
+    C17 = make_context(17, 1)
+    with pytest.raises(DomainError, match="enumeration cap"):
+        naive_factor(parse_poly(C17, "T^16 - 3"))
 
 
 # ------------------------------------------------------------------ unit_count
