@@ -14,7 +14,6 @@ from .ffpoly import (
     render_poly,
 )
 from .genus import (
-    adjoin_constants,
     estar_interval,
     genus_report,
     genus_report_abstract,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "FqPoly", "ParseError",
-    "adjoin_constants", "build_profile", "carlitz_action",
+    "build_profile", "carlitz_action",
     "carlitz_compose_check", "estar_interval", "euler_phi",
     "factor", "genus_report", "genus_report_abstract", "is_irreducible",
     "make_context", "naive_factor", "parse_element", "parse_poly",

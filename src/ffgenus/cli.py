@@ -8,6 +8,7 @@ plain text or JSON. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -45,14 +46,6 @@ from .ramify import (
     t0_radical,
 )
 
-# "2T" and "T^2(T+1)" mean products; the core grammar wants the * spelled out
-_IMPLICIT_PRODUCT = re.compile(r"([0-9A-Za-z)])\s*(?=[A-Za-z(])")
-
-
-def normalize_poly_text(text):
-    return _IMPLICIT_PRODUCT.sub(r"\1*", text)
-
-
 _FIELD_RE = re.compile(r"(\d+)(?:\^(\d+))?")
 
 
@@ -79,8 +72,8 @@ def context_from_field(text):
 
 def _radical_from_args(args):
     ctx = context_from_field(args.field)
-    gamma = parse_element(ctx, normalize_poly_text(args.gamma))
-    D = parse_poly(ctx, normalize_poly_text(args.poly))
+    gamma = parse_element(ctx, args.gamma)
+    D = parse_poly(ctx, args.poly)
     return radical_extension(ctx, args.n, gamma, D, args.base_constants)
 
 
@@ -89,7 +82,7 @@ def _radical_from_args(args):
 
 def cmd_factor(args):
     ctx = context_from_field(args.field)
-    fac = factor(parse_poly(ctx, normalize_poly_text(args.poly)))
+    fac = factor(parse_poly(ctx, args.poly))
     unit = render_element(fac.unit)
     payload = {"unit": unit,
                "factors": [{"poly": render_poly(g), "mult": m} for g, m in fac.factors]}
@@ -102,13 +95,13 @@ def cmd_factor(args):
 
 def cmd_phi(args):
     ctx = context_from_field(args.field)
-    value = euler_phi(parse_poly(ctx, normalize_poly_text(args.poly)))
+    value = euler_phi(parse_poly(ctx, args.poly))
     return {"phi": value}, str(value), 0
 
 
 def cmd_carlitz(args):
     ctx = context_from_field(args.field)
-    rho = carlitz_action(parse_poly(ctx, normalize_poly_text(args.poly)))
+    rho = carlitz_action(parse_poly(ctx, args.poly))
     coeffs = [render_poly(c) for c in rho]
     text = "\n".join(f"u^(q^{j}): {c}" for j, c in enumerate(coeffs))
     return {"coeffs": coeffs}, text, 0
@@ -175,10 +168,12 @@ def _load_profile(path):
 
 def cmd_genus(args):
     if args.profile is not None:
-        if args.poly or args.gamma or args.n is not None:
-            raise ParseError("--profile replaces --poly/--gamma/--n")
+        if (args.field, args.poly, args.gamma, args.n).count(None) < 4 or args.base_constants != 1:
+            raise ParseError("--profile replaces --field/--poly/--gamma/--n/--base-constants")
         report = genus_report_abstract(_load_profile(args.profile))
     else:
+        if not args.field:
+            raise ParseError("genus needs --field unless --profile is given")
         if not (args.poly and args.gamma and args.n is not None):
             raise ParseError("genus needs --poly, --gamma and --n (or --profile)")
         report = genus_report(_radical_from_args(args))
@@ -192,6 +187,10 @@ ENUM_BUDGET = 1 << 16
 
 
 def cmd_oracle_verify(args):
+    missing = (args.poly, args.gamma, args.n).count(None)
+    if missing and (missing < 3 or args.base_constants != 1):
+        raise ParseError("oracle-verify takes all of --poly, --gamma and --n, "
+                         "or none of them and no --base-constants")
     ctx = context_from_field(args.field)
     rng = random.Random(SWEEP_SEED)
     checks = []
@@ -234,7 +233,7 @@ def cmd_oracle_verify(args):
     run("carlitz composition laws", check_carlitz)
     run("t0_root_degrees vs t0_radical", check_t0)
 
-    if args.poly and args.gamma and args.n is not None:
+    if not missing:
         K = _radical_from_args(args)
 
         def check_splitting():
@@ -328,8 +327,6 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "genus" and args.profile is None and not args.field:
-            raise ParseError("genus needs --field unless --profile is given")
         payload, text, code = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -341,7 +338,13 @@ def main(argv=None):
         import json
 
         text = json.dumps(payload, indent=2)
-    print(text)
+    try:  # one write: a reader such as `head` cannot leave between two
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone and wants no more: end quietly
+        # the null device takes the interpreter's own flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

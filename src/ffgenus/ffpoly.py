@@ -705,22 +705,33 @@ def powmod(base, e, mod):
                   lambda a, b: a * b % mod)
 
 
-def is_irreducible(f):
-    """Distinct-degree sieve: x^{q^d} = x tests against every prime d | n."""
-    n = f.degree
-    if n < 1:
-        raise DomainError("irreducibility is defined for non-constant polynomials")
-    if n == 1:
-        return True
-    ctx = f.ctx
-    x = FqPoly.x(ctx)
-    need = {n // r for r in factor_int(n)}
+def _distinct_degree(f):
+    """Yield (d, g), g the product of squarefree f's degree-d irreducible
+    factors; once 2d exceeds the degree of the rest, last (deg rest, rest)."""
+    x = FqPoly.x(f.ctx)
     xp = x
-    for d in range(1, n):
-        xp = powmod(xp, ctx.q, f)
-        if d in need and poly_gcd(xp - x, f).degree != 0:
-            return False
-    return powmod(xp, ctx.q, f) == x
+    rem = f
+    d = 0
+    while rem.degree > 0:
+        d += 1
+        if 2 * d > rem.degree:
+            yield rem.degree, rem
+            return
+        xp = powmod(xp, f.ctx.q, rem)
+        g = poly_gcd(xp - x, rem)
+        if g.degree > 0:
+            yield d, g
+            rem = (rem // g).monic()
+            xp = xp % rem
+
+
+def is_irreducible(f):
+    """Whether the first distinct-degree yield has d = deg f: a reducible f,
+    squarefree or not, has a factor of degree <= deg f / 2. Its d, not the
+    degree of its g, decides, since a split f yields (1, f)."""
+    if f.degree < 1:
+        raise DomainError("irreducibility is defined for non-constant polynomials")
+    return next(_distinct_degree(f))[0] == f.degree
 
 
 class Factorization(namedtuple("Factorization", "unit factors")):
@@ -816,30 +827,14 @@ def factor(f):
         raise DomainError("cannot factor the zero polynomial")
     if f.degree > MAX_POLY_DEG:
         raise DomainError(f"degree {f.degree} exceeds cap {MAX_POLY_DEG}")
-    ctx = f.ctx
     unit = f.leading
     if f.degree == 0:
         return Factorization(unit, ())
     rng = random.Random(_poly_seed(f))
-    work = f.monic()
     found = []
-    for sqfree, mult in _squarefree_parts(work):
-        x = FqPoly.x(ctx)
-        xp = x
-        rem = sqfree
-        d = 0
-        while rem.degree > 0:
-            d += 1
-            if 2 * d > rem.degree:
-                found.append((rem, mult))
-                break
-            xp = powmod(xp, ctx.q, rem)
-            gd = poly_gcd(xp - x, rem)
-            if gd.degree > 0:
-                for irr in _edf_split(gd, d, rng):
-                    found.append((irr, mult))
-                rem = (rem // gd).monic()
-                xp = xp % rem
+    for sqfree, mult in _squarefree_parts(f.monic()):
+        for d, g in _distinct_degree(sqfree):
+            found.extend((irr, mult) for irr in _edf_split(g, d, rng))
     found.sort(key=lambda fm: fm[0].sort_key())
     return Factorization(unit, tuple(found))
 
@@ -866,12 +861,12 @@ def monic_polys(ctx, degree):
 #
 # Grammar (whitespace ignored):
 #   expr   := term (('+'|'-') term)*
-#   term   := factor ('*' factor)*
+#   term   := factor ('*'? factor)*     ('*' omitted only before NAME or '(')
 #   factor := '-'* atom ('^' INT)?
 #   atom   := INT | NAME | '(' expr ')' | '[' INT (',' INT)* ']'
-# NAME 'g' is the context generator; any other single letter is the
-# polynomial variable. Bracketed vectors are extension-field
-# coefficient lists over the prime subfield.
+# so "2T" and "T^2(T+1)" are products. NAME 'g' is the context generator;
+# any other single letter is the polynomial variable. Bracketed vectors are
+# extension-field coefficient lists over the prime subfield.
 
 
 class _Tokens:
@@ -935,8 +930,9 @@ class _PolyParser:
 
     def _term(self):
         acc = self._factor()
-        while self.toks.peek() == "*":
-            self.toks.next()
+        while (kind := self.toks.peek()) in ("*", "name", "("):
+            if kind == "*":
+                self.toks.next()
             rhs = self._factor()
             if (deg := acc.degree + rhs.degree) > MAX_POLY_DEG:
                 raise ParseError(f"degree {deg} of a product exceeds cap {MAX_POLY_DEG}")

@@ -153,15 +153,6 @@ def field_expr(q, gens=(), constants_deg=1):
     return FieldExpr(q, rads, cyc, opq, constants_deg)
 
 
-def adjoin_constants(expr, t):
-    """The compositum of an expression with the constant extension of degree t."""
-    if not isinstance(t, int) or t < 1:
-        raise DomainError("constants degree must be a positive integer")
-    if expr.constants_deg is None:
-        return expr
-    return expr._replace(constants_deg=lcm(expr.constants_deg, t))
-
-
 def _radical_gen(e, unit, poly, degree=None):
     """The generator root^e = unit * poly, with poly already rendered."""
     ctx = unit.ctx

@@ -155,17 +155,19 @@ def carlitz_compose_check(M, N):
             raise DomainError("multipliers must be nonzero")
         if f.degree > 2 or f.ctx.q > MAX_ORACLE_Q:
             raise DomainError("multiplier outside the composition oracle caps")
-    q = M.ctx.q
+    ctx = M.ctx
     rho_m, chain = _qpow_chain(M)[0], _qpow_chain(N)
     composed = {}
     for j in range(M.degree + 1):  # the tau-degree of rho_M
-        # rho_N(X)^(q^j) as j successive generic q-th powers: grouping the
-        # exponent this way keeps intermediates small (each exact q-th power
-        # collapses numerically in characteristic p) without assuming any
-        # Frobenius identity, since every step is plain repeated multiplication
+        # rho_N(X)^(q^j) as j*m successive generic p-th powers (q = p^m): the
+        # intermediates stay small, and plain repeated multiplication assumes
+        # no Frobenius identity
         if len(chain) == j:
-            chain.append(_xdict_pow(chain[-1], q))
-        a = rho_m.get(q ** j)
+            power = chain[-1]
+            for _ in range(ctx.mtot):
+                power = _xdict_pow(power, ctx.p)
+            chain.append(power)
+        a = rho_m.get(ctx.q ** j)
         if a is None:
             continue
         for e, c in chain[j].items():

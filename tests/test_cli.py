@@ -5,6 +5,7 @@ content checks run in-process for speed.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -154,8 +155,9 @@ def test_base_constants_end_fast(argv, code, line):
     # the splitting check would trial-divide X^n - c by about q^(n/2) candidates
     ["oracle-verify", "--field", "17", "--n", "16", "--gamma", "3", "--poly", "T"],
     ["oracle-verify", "--field", "32", "--n", "9", "--gamma", "g", "--poly", "T"],
+    ["oracle-verify", "--field", "81"],  # the largest field of the composition check
 ], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24",
-        "oracle-verify-17-n16", "oracle-verify-32-n9"])
+        "oracle-verify-17-n16", "oracle-verify-32-n9", "oracle-verify-81"])
 def test_valid_inputs_at_a_cap_end_within_budget(argv):
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)
@@ -187,6 +189,19 @@ def test_profile_conflicts_and_errors(capsys, tmp_path):
     assert main(["genus", "--profile", str(huge)]) == 1  # int() refuses 5000 digits
     capsys.readouterr()
     assert main(["genus", "--profile", str(path), "--n", "2"]) == 2
+    capsys.readouterr()
+    # flags the command would ignore: the profile carries its own q and s,
+    # and the splitting check needs all three radical flags
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"q": 3, "infinity": [{"e": 1, "t": 1}]}))
+    for argv in (["genus", "--profile", str(good), "--field", "3"],
+                 ["genus", "--profile", str(good), "--base-constants", "2"],
+                 ["oracle-verify", "--field", "5", "--poly", "T", "--n", "2"],
+                 ["oracle-verify", "--field", "5", "--gamma", "2"],
+                 ["oracle-verify", "--field", "5", "--base-constants", "2"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == ""
+    assert main(["genus", "--profile", str(good), "--base-constants", "1"]) == 0
     capsys.readouterr()
 
 
@@ -301,12 +316,29 @@ def test_oversized_inputs_end_fast_with_one_error_line(argv, code):
     ["genus", "--field", "3", "--n", "x", "--gamma", "1", "--poly", "T"],
     ["frobnicate"],
     ["factor", "--field", "3", "--poly", "T", "--bogus"],
+    # a flag the command would ignore, reported before the profile file is read
+    ["genus", "--profile", "no-such-profile.json", "--field", "3"],
+    ["genus", "--profile", "no-such-profile.json", "--base-constants", "2"],
+    ["oracle-verify", "--field", "5", "--poly", "T", "--n", "2"],
 ])
 def test_usage_errors_exit_2_with_one_error_line(argv):
     proc = run_cli(argv, timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.decode().startswith("error: ") and proc.stderr.count(b"\n") == 1
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("argv", [PHI, EX53 + ["--format", "json"]], ids=["phi", "genus-json"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # `ffgenus ... | head -1` after head has gone: the read end is already closed
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ffgenus.cli"] + argv, stdout=w,
+                              stderr=subprocess.PIPE, timeout=30)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")  # no traceback, no error line
 
 
 def test_help_still_exits_0():

@@ -495,6 +495,11 @@ def test_is_irreducible_fixed_cases():
     f3 = make_context(3, 1)
     assert is_irreducible(P(f3, "T^3+2*T+1"))
     assert is_irreducible(P(f3, "T^2-T-1"))
+    assert is_irreducible(P(f3, "T^4+T+2"))  # even degree: every d <= 2 is run
+    # the first distinct-degree yield of a split f is (1, f): d, not deg g, decides
+    assert not is_irreducible(P(f3, "T^3-T"))
+    # the square of a degree-n/2 irreducible shows at the last step d = n/2
+    assert not is_irreducible(P(f3, "(T^2+1)^2"))
     f25 = make_context(5, 2)
     assert not is_irreducible(P(f25, "T^2+T+1"))
 
@@ -660,12 +665,17 @@ def test_parse_basic_forms():
     assert P(ctx, "T^2*(T^2-T-1)") == FqPoly.from_ints(ctx, [0, 0, 2, 2, 1])
     assert P(ctx, "-1") == FqPoly.from_ints(ctx, [2])
     assert P(ctx, "2*T^3") == FqPoly.from_ints(ctx, [0, 0, 0, 2])
+    # a name or '(' right after a factor multiplies
+    for implicit, explicit in (("2T", "2*T"), ("T^2(T+1)", "T^2*(T+1)"),
+                               ("(T+1)(T+2)", "(T+1)*(T+2)"), ("2 T^2 T", "2*T^2*T")):
+        assert P(ctx, implicit) == P(ctx, explicit), implicit
 
 
 def test_parse_extension_literals():
     ctx = make_context(3, 2)
     assert parse_element(ctx, "g^3") == ctx.generator ** 3
     assert parse_element(ctx, "[1,2]") == ctx.elem([1, 2])
+    assert P(ctx, "[1,2]T") == P(ctx, "[1,2]*T")
     assert parse_element(ctx, "2") == ctx.from_int(2)
 
 
@@ -679,6 +689,9 @@ def test_parse_errors():
         parse_poly(ctx, "g")  # no generator literal in a prime field
     with pytest.raises(ParseError):
         parse_element(ctx, "T^2")
+    for product in ("T^64*T", "T^64 T", "T^64(T+1)"):  # one cap, with or without '*'
+        with pytest.raises(ParseError, match="degree 65 of a product exceeds cap 64"):
+            parse_poly(ctx, product)
 
 
 def test_parse_caps_power_degree_before_expanding():

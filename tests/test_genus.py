@@ -26,7 +26,6 @@ from ffgenus.genus import (
     _infinity_residue_data,
     _root_splits,
     _split_generators,
-    adjoin_constants,
     build_F0,
     c_P,
     estar_interval,
@@ -525,7 +524,8 @@ def test_report_cube_root_example_and_constant_base_change():
     assert r2.exact_field.render() == (
         "k((T^3 + T^2 + T)^(1/3), cyclo[T^2 + T + 1; deg 3]) * F_25")
     # the genus field is unchanged by adjoining the constants of the base
-    assert adjoin_constants(r1.exact_field, 2) == r2.exact_field
+    assert r1.exact_field._replace(constants_deg=lcm(r1.exact_field.constants_deg, 2)) \
+        == r2.exact_field
 
 
 def test_report_constants_collapse_certificate():
@@ -830,11 +830,3 @@ def test_field_expr_dedupes_and_sorts():
     r = genus_report(K_of(3, 1, 2, 2, "T^3+2*T+1"))
     # K's own generator coincides with the F_0 generator and is kept once
     assert r.exact_field.render() == "k((-(T^3 + 2*T + 1))^(1/2))"
-
-
-def test_adjoin_constants_takes_lcm():
-    fe = field_expr(3, [], 2)
-    assert adjoin_constants(fe, 3).constants_deg == 6
-    assert adjoin_constants(fe, 2).constants_deg == 2
-    unknown = field_expr(3, [], None)
-    assert adjoin_constants(unknown, 5).constants_deg is None
