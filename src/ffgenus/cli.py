@@ -143,8 +143,7 @@ def _profile_text(profile):
         lines.append(f"infinite prime: e = {e}, t = {t}")
     lines.append(f"e_inf = {profile.e_inf}")
     lines.append(f"t0 = {profile.t0}")
-    geo = "unknown" if profile.geometric is None else str(profile.geometric).lower()
-    lines.append(f"geometric: {geo}")
+    lines.append(f"geometric: {str(profile.geometric).lower()}")
     return "\n".join(lines)
 
 

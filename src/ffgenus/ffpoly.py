@@ -17,15 +17,6 @@ from array import array
 from collections import namedtuple
 from math import gcd
 
-try:
-    # the interpreter's builtin SHA-256; hashlib would load OpenSSL on every start
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
 MAX_Q = 1 << 16
 MAX_TOWER_DEG = 64
 MAX_POLY_DEG = 64
@@ -746,13 +737,6 @@ class Factorization(namedtuple("Factorization", "unit factors")):
         return sorted(out)
 
 
-def _poly_seed(f):
-    parts = [str(f.ctx.p), str(f.ctx.mtot)]
-    parts.extend(str(c.to_int()) for c in f.coeffs)
-    digest = sha256(",".join(parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _pth_root(f):
     ctx = f.ctx
     p = ctx.p
@@ -820,8 +804,10 @@ def _edf_split(g, d, rng):
 def factor(f):
     """Complete factorization into a unit times monic irreducibles.
 
-    Distinct-degree then equal-degree splitting, with the splitting RNG
-    seeded from the input bytes so output order and content are stable.
+    Distinct-degree then equal-degree splitting. The factors are sorted by
+    sort_key, so the random draws of the splitting step change only the
+    time a call takes; every call draws from random.Random(0), so that time
+    too is the same on every run.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -830,7 +816,7 @@ def factor(f):
     unit = f.leading
     if f.degree == 0:
         return Factorization(unit, ())
-    rng = random.Random(_poly_seed(f))
+    rng = random.Random(0)
     found = []
     for sqfree, mult in _squarefree_parts(f.monic()):
         for d, g in _distinct_degree(sqfree):

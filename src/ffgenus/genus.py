@@ -483,14 +483,14 @@ class GenusReport(namedtuple(
 def _constants_collapse(K, comps):
     """Whether each F_P collapses into K times constants.
 
-    Looks for an exponent j' (a multiple of c_P/gcd(c_P, n)) with
-    alpha_i * j' = 1 and alpha_m * j' = 0 mod c_P over the factorization
-    D = prod P_m^{alpha_m}: then the n-th root y of gamma*D yields an
-    element y^{n j'/c_P} * g(T) of K whose c_P-th power is P_i times a
-    constant, so F_P is contained in K times an extension of constants.
-    Requires every c_P to be Kummer (c_P | q - 1).
+    Over the factorization D = prod P_m^{alpha_m}, F_P for P = P_i with
+    c = c_P > 1 collapses when c | n, alpha_i is prime to c and c divides
+    every other alpha_m: with j = alpha_i^(-1) mod c, the n-th root y of
+    gamma*D yields an element y^{n j/c} * g(T) of K whose c-th power is
+    P_i times a constant, so F_P is contained in K times an extension of
+    constants. Requires every c_P to be Kummer (c_P | q - 1).
     """
-    q = K.ctx.q
+    q, n = K.ctx.q, K.n
     # D is n-th-power free, so every factor is ramified and comps.places
     # follows the order of D's factorization
     alphas = [alpha for _, alpha in K.D_factors.factors]
@@ -498,14 +498,9 @@ def _constants_collapse(K, comps):
         c = pl.c_P
         if c == 1:
             continue
-        if (q - 1) % c != 0:
+        if (q - 1) % c != 0 or n % c != 0 or gcd(alpha_i, c) != 1:
             return False
-        step = c // gcd(c, K.n)
-        if not any(
-                (alpha_i * step * j - 1) % c == 0
-                and all((am * step * j) % c == 0
-                        for m, am in enumerate(alphas) if m != i)
-                for j in range(gcd(c, K.n))):
+        if any(am % c for m, am in enumerate(alphas) if m != i):
             return False
     return True
 

@@ -4,10 +4,13 @@ A radical extension K = k((gamma*D)^(1/n)) with p not dividing n is tame
 everywhere, and its ramification is determined by elementary gcd data:
 e at a finite prime P | D is n/gcd(v_P(D), n), e at the infinite prime is
 n/gcd(deg D, n), and the residue behaviour at infinity is read off the
-factorization of X^d - gamma over the constant field. Everything here is
-also exposed for abstract ramification profiles (per-place exponent lists
-with no radical model behind them), which is the intake for the general
-genus-field bounds.
+factorization of X^d - gamma over the constant field. The constant field
+of K is F_{q^lcm(s, g)} with g = gcd(n, alpha_1, ..., alpha_k) over the
+exponents of D (Kummer theory over the algebraic closure of F_q), so K
+is geometric exactly when s = g = 1. Everything here is also exposed for
+abstract ramification profiles (per-place exponent lists with no radical
+model behind them), which is the intake for the general genus-field
+bounds.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def _infinity_factorization(gamma, d, s):
     if s * ctx.mtot > MAX_TOWER_DEG:
         raise DomainError(
             f"extension degree {s * ctx.mtot} over F_{ctx.p} exceeds cap {MAX_TOWER_DEG}")
+    if d > MAX_POLY_DEG:  # factor's own cap, checked before X^d is multiplied out
+        raise DomainError(f"degree {d} exceeds cap {MAX_POLY_DEG}")
     fac = factor(FqPoly.x(ctx) ** d - FqPoly.const(ctx, gamma))
     if any(mult > 1 for _, mult in fac.factors):
         raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
@@ -157,24 +162,16 @@ class RamificationProfile(namedtuple(
     """Per-place ramification data of some separable K/k.
 
     finite lists only places with a ramified prime above them; infinity
-    holds one (e, t) pair per infinite prime of K. geometric is True/False
-    when certified and None when the criteria are silent. For a radical
+    holds one (e, t) pair per infinite prime of K. geometric says whether
+    F_q is the full constant field of K: for a radical profile it is
+    exact, s == 1 and gcd(n, alpha_1, ..., alpha_k) == 1; an abstract
+    profile keeps the flag its JSON gives, or None. For a radical
     profile, infinity_factors holds the irreducible factors of X^d - gamma
     over F_q that the infinity pairs were read from: one of degree f stands
     for gcd(f, s) infinite primes, each with t = lcm(f, s).
     """
 
     __slots__ = ()
-
-
-def _geometric_flag(K, alphas):
-    if K.s > 1:
-        return False
-    if any(gcd(a, K.n) == 1 for a in alphas):
-        return True
-    if (K.ctx.q - 1) % K.n == 0 and len(factor_int(K.n)) == 1:
-        return False  # prime-power Kummer case: coprime exponent is also necessary
-    return None
 
 
 def build_profile(K):
@@ -184,10 +181,11 @@ def build_profile(K):
     factors, ts = _infinity_factorization(K.gamma, K.n // e_inf, K.s)
     infinity = tuple((e_inf, t) for t in ts)
     t0 = reduce(gcd, (t for _, t in infinity))
-    geo = _geometric_flag(K, [a for _, a in K.D_factors.factors])
+    g = reduce(gcd, (a for _, a in K.D_factors.factors), K.n)
     return RamificationProfile(
         q=K.ctx.q, p=K.ctx.p, s=K.s, finite=finite, infinity=infinity,
-        e_inf=e_inf, t0=t0, geometric=geo, radical=K, infinity_factors=factors)
+        e_inf=e_inf, t0=t0, geometric=K.s == 1 and g == 1, radical=K,
+        infinity_factors=factors)
 
 
 def profile_from_dict(data):

@@ -156,8 +156,14 @@ def test_base_constants_end_fast(argv, code, line):
     ["oracle-verify", "--field", "17", "--n", "16", "--gamma", "3", "--poly", "T"],
     ["oracle-verify", "--field", "32", "--n", "9", "--gamma", "g", "--poly", "T"],
     ["oracle-verify", "--field", "81"],  # the largest field of the composition check
+    # factor at the degree cap, one field of each element class: an odd-p extension,
+    # a large prime field and a binary extension
+    ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
+    ["factor", "--field", "65521", "--poly", "T^64+T+1"],
+    ["factor", "--field", "2^16", "--poly", "T^64+T+g"],
 ], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24",
-        "oracle-verify-17-n16", "oracle-verify-32-n9", "oracle-verify-81"])
+        "oracle-verify-17-n16", "oracle-verify-32-n9", "oracle-verify-81",
+        "factor-3^10-deg64", "factor-65521-deg64", "factor-2^16-deg64"])
 def test_valid_inputs_at_a_cap_end_within_budget(argv):
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)
@@ -393,9 +399,11 @@ def _golden_ids(cases):
 @pytest.mark.parametrize("case", GOLDENS, ids=_golden_ids(GOLDENS))
 def test_cli_golden_output(capsys, case):
     """factor/phi/carlitz/analyze/genus over q = 3 .. 2^12 and oracle-verify
-    over q <= 25, captured before the integer element kernel, and carlitz at
+    over q <= 25, captured before the integer element kernel, carlitz at
     degree 12 over F_2 and 11 over F_3, captured before the coefficient
-    recursion: stdout must match byte for byte."""
+    recursion, and analyze in text and JSON for two K with constant field
+    F_{q^2} (gcd(n, alpha_1, ...) = 2), captured when geometric became
+    exact: stdout must match byte for byte."""
     code, out = run_main(capsys, case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
 

@@ -607,17 +607,17 @@ def test_factor_is_deterministic():
     assert factor(f) == factor(f)
 
 
-def test_poly_seed_digests_are_pinned():
-    # the splitting seed is the first 8 bytes of SHA-256 over "p,mtot,coeffs...";
-    # these values were taken with hashlib, so the builtin sha256 of every
-    # supported interpreter must give the same seeds and hence the same factor order
-    t = make_context(3, 1).extension(2)
-    cases = [
-        (P(make_context(3, 1), "T^2+1"), 0xd870398a1e4d369d),
-        (P(make_context(2, 4), "T^3+g*T+1"), 0xf7027f658e78f470),
-        (FqPoly(t, (t.from_int(5), t.from_int(0), t.one())), 0xa475c3a93aaeca6d),
-    ]
-    assert [ffpoly._poly_seed(f) for f, _ in cases] == [seed for _, seed in cases]
+@pytest.mark.parametrize("p,m,text", [(3, 1, "T^8-1"), (5, 2, "T^24-1"), (2, 4, "T^15-1")])
+def test_edf_split_output_does_not_depend_on_the_draws(p, m, text):
+    # factor sorts what the equal-degree split returns, so its seed only sets the time
+    f = P(make_context(p, m), text)
+    for d, g in ffpoly._distinct_degree(f):
+        splits = {tuple(sorted(ffpoly._edf_split(g, d, random.Random(seed)),
+                               key=FqPoly.sort_key))
+                  for seed in range(6)}
+        (found,) = splits
+        assert len(found) == g.degree // d
+        assert all(h.degree == d and is_irreducible(h) for h in found)
 
 
 def test_repeated_factors_char2():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from math import gcd, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from ffgenus.ffpoly import (
     parse_poly,
 )
 from ffgenus.genus import (
+    _constants_collapse,
     _infinity_residue_data,
     _root_splits,
     _split_generators,
@@ -536,6 +538,40 @@ def test_report_constants_collapse_certificate():
     r = genus_report(K_of(5, 1, 8, 1, "T"))
     assert r.exact and r.exactness_reason == "constants_collapse"
     assert r.exact_field.render() == "k((T)^(1/2), (T)^(1/8))"
+
+
+def _constants_collapse_by_search(q, n, alphas, cs):
+    # the certificate as first written: search j < gcd(c, n) for an exponent
+    # j' = j * c/gcd(c, n) with alpha_i * j' = 1 and alpha_m * j' = 0 mod c
+    for i, (alpha_i, c) in enumerate(zip(alphas, cs)):
+        if c == 1:
+            continue
+        if (q - 1) % c != 0:
+            return False
+        step = c // gcd(c, n)
+        if not any((alpha_i * step * j - 1) % c == 0
+                   and all((am * step * j) % c == 0 for m, am in enumerate(alphas) if m != i)
+                   for j in range(gcd(c, n))):
+            return False
+    return True
+
+
+def test_constants_collapse_closed_form_matches_the_search():
+    # 841 - 1 = 840 is divisible by every c <= 8, and 5 - 1 = 4 by few of them
+    cases = collapses = 0
+    for q in (5, 841):
+        for n in range(1, 13):
+            for k in (1, 2):
+                for alphas in itertools.product(range(1, 9), repeat=k):
+                    for cs in itertools.product(range(1, 9), repeat=k):
+                        K = SimpleNamespace(ctx=SimpleNamespace(q=q), n=n, D_factors=SimpleNamespace(
+                            factors=[(None, a) for a in alphas]))
+                        comps = SimpleNamespace(places=[SimpleNamespace(c_P=c) for c in cs])
+                        expected = _constants_collapse_by_search(q, n, alphas, cs)
+                        assert _constants_collapse(K, comps) == expected, (q, n, alphas, cs)
+                        cases += 1
+                        collapses += expected
+    assert cases == 2 * 12 * (64 + 64 * 64) and 0 < collapses < cases
 
 
 def test_report_bounds_with_conjecture():

@@ -1,8 +1,10 @@
 """Ramification of radical extensions: fixed paper-scale values and sweeps."""
 
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -12,10 +14,12 @@ from ffgenus.ffpoly import (
     FqPoly,
     factor,
     is_eth_power,
+    is_irreducible,
     make_context,
+    monic_polys,
     parse_poly,
 )
-from ffgenus.oracle import newton_polygon, newton_polygon_e
+from ffgenus.oracle import newton_polygon, newton_polygon_e, splitting_at_finite
 from ffgenus.ramify import (
     build_profile,
     p_adic_val,
@@ -157,6 +161,16 @@ def test_t0_radical_rejects_wild_d():
         t0_radical(f3.zero(), 2, 1)
 
 
+@pytest.mark.parametrize("d", [2 * 10**6, 10**9 + 1])
+def test_t0_radical_refuses_a_large_d_before_building_x_to_the_d(d):
+    # X^d was multiplied out before factor's degree cap refused it: 6.5 s for
+    # d = 2*10^6 over F_3, and no end within 30 s for d = 10^9 + 1
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"^degree {d} exceeds cap 64$"):
+        t0_radical(make_context(3, 1).one(), d, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_t0_radical_divides_sd_and_each_ti():
     rng = random.Random(4)
     for p, m in [(3, 1), (5, 1), (3, 2)]:
@@ -237,6 +251,62 @@ def test_profile_invariants_random():
         for f in prof.finite:
             assert f.u_P == 0 and f.e0 == f.e_P > 1
         assert prof.t0 == t0_radical(gamma, gcd(D.degree, n), K.s)
+
+
+def test_geometric_is_the_constant_field_rule_and_fits_every_place_degree():
+    # The constant field of K is F_{q^lcm(s, g)} with g = gcd(n, alpha_1, ...),
+    # so K is geometric iff s = g = 1. Every place of K has a degree divisible by
+    # the constant-field degree: check the infinite t and, for s = 1, deg P * f
+    # for the residue degrees f the splitting oracle finds at a few places P. By
+    # F. K. Schmidt the gcd of all place degrees is the constant-field degree, so
+    # where the sampled degrees already reach lcm(s, g) the rule is exact.
+    rng = random.Random(13)
+    fields = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
+    quadratics = {}
+    built = checked = pinned = 0
+    while built < 500:
+        p, m = rng.choice(fields)
+        ctx = make_context(p, m)
+        q = ctx.q
+        n = rng.randrange(2, 13)
+        if n % p == 0:
+            continue
+        # exponents that share a divisor h with n make g > 1 common
+        h = rng.choice([h for h in range(1, n + 1) if n % h == 0])
+        roots = rng.sample(range(q), min(rng.randrange(3), q))
+        alphas = [a for a in (h * rng.randrange(1, max(2, n // h)) for _ in roots) if a < n]
+        D = FqPoly.const(ctx, ctx.one())
+        for r, a in zip(roots, alphas):
+            D = D * FqPoly(ctx, (ctx.from_int(r), ctx.one())) ** a
+        gamma = ctx.from_int(rng.randrange(1, q))
+        s = rng.choice([1, 2])
+        try:
+            K = radical_extension(ctx, n, gamma, D, s)
+        except DomainError:
+            continue
+        built += 1
+        prof = build_profile(K)
+        g = reduce(gcd, alphas, n)
+        assert prof.geometric is (s == 1 and g == 1)
+        const_deg = lcm(s, g)
+        assert all(t % const_deg == 0 for _, t in prof.infinity)
+        if s > 1:
+            continue
+        places = [(1, P) for P in monic_polys(ctx, 1)]
+        if q * q <= 81:
+            if q not in quadratics:
+                quadratics[q] = [(2, P) for P in monic_polys(ctx, 2) if is_irreducible(P)]
+            places += quadratics[q]
+        # trial division over F_{q^deg P} stays small
+        places = [(deg, P) for deg, P in places if q ** (deg * (n // 2)) <= 256]
+        degrees = [t for _, t in prof.infinity]
+        for deg, P in rng.sample(places, min(3, len(places))):
+            _, residue_degrees = splitting_at_finite(K, P)
+            degrees += [deg * f for f in residue_degrees]
+        assert all(d % const_deg == 0 for d in degrees), (K, degrees)
+        checked += 1
+        pinned += reduce(gcd, degrees) == const_deg
+    assert checked > 200 and pinned >= 0.9 * checked
 
 
 def test_profile_from_dict():
