@@ -698,22 +698,51 @@ def powmod(base, e, mod):
 
 def _distinct_degree(f):
     """Yield (d, g), g the product of squarefree f's degree-d irreducible
-    factors; once 2d exceeds the degree of the rest, last (deg rest, rest)."""
-    x = FqPoly.x(f.ctx)
-    xp = x
+    factors; once 2d exceeds the degree of the rest, last (deg rest, rest).
+
+    Step d takes x^(q^d) mod rest from x^(q^(d-1)) by a powmod by q, until
+    the powmods so far have cost deg rest products. From the next step on
+    it is one linear combination of a table of x^(q*j) mod rest, j < deg
+    rest, since h^q = sum h_j x^(q*j) for h over F_q (von zur Gathen-Shoup
+    1992). The table costs deg rest products, so a call that ends after one
+    step never builds it.
+    """
+    ctx = f.ctx
+    x = FqPoly.x(ctx)
+    xp = xq = x
     rem = f
+    rows = None
     d = 0
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
             yield rem.degree, rem
             return
-        xp = powmod(xp, f.ctx.q, rem)
+        # the d - 1 steps so far were powmods of bits(q) + popcount(q) products
+        if (rows is None and d > 1
+                and (d - 1) * (ctx.q.bit_length() + bin(ctx.q).count("1")) >= rem.degree):
+            xq = xq % rem  # x^q mod the rest at step 1, which rem divides
+            rows = [FqPoly.const(ctx, ctx.one()), xq]
+            while len(rows) < rem.degree:
+                rows.append(rows[-1] * xq % rem)
+        if rows is None:
+            xp = powmod(xp, ctx.q, rem)
+            if d == 1:
+                xq = xp
+        else:
+            out = [ctx.zero()] * rem.degree
+            for c, row in zip(xp.coeffs, rows):
+                if not c.is_zero():
+                    for i, r in enumerate(row.coeffs):
+                        out[i] = out[i] + c * r
+            xp = FqPoly(ctx, tuple(out))
         g = poly_gcd(xp - x, rem)
         if g.degree > 0:
             yield d, g
             rem = (rem // g).monic()
             xp = xp % rem
+            if rows is not None:
+                rows = [row % rem for row in rows[:rem.degree]]
 
 
 def is_irreducible(f):

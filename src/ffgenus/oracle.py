@@ -4,7 +4,14 @@ Each function here recomputes something the other modules obtain by formula
 (factorizations, unit counts, the Carlitz module laws, constant degrees of
 root fields, splitting of finite primes, ramification indices from Newton
 polygons) by exhaustive enumeration or trial division, sharing only base
-field arithmetic with the code under test. The one exception is
+field arithmetic with the code under test. naive_factor, unit_count,
+splitting_at_finite and carlitz_compose_check stay inside fields of at
+most MAX_ORACLE_Q elements, so they compute on canonical element indices
+with add/mul/neg/inv tables (`_field`) that each field builds once from
+its own element arithmetic: trial division, Euclid, Horner evaluation and
+products of polynomials are table lookups, and no FqPoly division,
+product, gcd or evaluation runs. t0_root_degrees scans splitting fields
+of up to MAX_ENUM elements with element arithmetic. The one exception is
 enumerate_F, the reference for the subgroup algebra of genus.find_F: it
 walks the whole subfield lattice but runs the split test at infinity and
 writes generators with the genus module's own helpers. The caps fail
@@ -20,14 +27,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
-from .ffpoly import (
-    DomainError,
-    Factorization,
-    FqPoly,
-    is_eth_power,
-    monic_polys,
-    poly_gcd,
-)
+from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power
 from .genus import (
     _bound_only,
     _infinity_residue_data,
@@ -42,45 +42,158 @@ MAX_ORACLE_DEG = 16  # largest polynomial degree an oracle factors by trial divi
 SWEEP_SEED = 20260815  # seed of the deterministic random sweeps
 
 
+class _Field(namedtuple("_Field", "q add mul neg inv")):
+    """A field of q <= MAX_ORACLE_Q elements, computed on canonical indices.
+
+    add and mul are flat bytes of q*q entries: entry a*q + b is the index
+    of the sum (product) of the elements with indices a and b. neg and inv
+    have q entries each (inv[0] is unused). A polynomial is a tuple of
+    indices, low degree first, with no trailing zeros.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=None)
+def _field(ctx):
+    """The tables of ctx, built once from its own sums and products.
+
+    neg and inv are read off the add and mul rows (the column holding 0,
+    resp. 1). Only contexts within an oracle cap of MAX_ORACLE_Q elements
+    get here, so a field costs at most 2*81^2 + 2*81 bytes and few fields
+    exist.
+    """
+    q = ctx.q
+    els = list(ctx.elements())
+    idx = ctx.elem_to_int
+    add = bytes(idx(a + b) for a in els for b in els)
+    mul = bytes(idx(a * b) for a in els for b in els)
+    neg = bytes(add.index(0, a * q, a * q + q) - a * q for a in range(q))
+    inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
+    return _Field(q, add, mul, neg, inv)
+
+
+def _indices(f):
+    """The coefficients of f as canonical indices; a flat context stores them so."""
+    if f.ctx.base is None:
+        return tuple([c.v for c in f.coeffs])
+    return tuple(map(f.ctx.elem_to_int, f.coeffs))
+
+
+def _pmul(F, a, b):
+    """Product of two nonzero index polynomials."""
+    q, add, mul = F.q, F.add, F.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x * q:x * q + q]
+            for k, y in enumerate(b, i):
+                if y:
+                    out[k] = add[out[k] * q + row[y]]
+    return tuple(out)
+
+
+def _padd(F, a, b):
+    q, add = F.q, F.add
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = add[out[i] * q + y]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _divrem(F, a, b):
+    """Quotient and remainder of the index polynomial a by b != 0, as tuples."""
+    q, add, mul, neg, inv = F
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    scale = inv[b[-1]]
+    negb = [neg[c] for c in b[:-1]]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = rem[i]
+        if f:
+            if scale != 1:
+                f = mul[f * q + scale]
+            quo[i - db] = f
+            row, lo = f * q, i - db
+            for j, c in enumerate(negb, lo):
+                rem[j] = add[rem[j] * q + mul[row + c]]
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+def _eval(F, f, x):
+    """f(x) by Horner, f an index polynomial and x an index."""
+    q, add, mul = F.q, F.add, F.mul
+    acc = 0
+    for c in reversed(f):
+        acc = add[mul[acc * q + x] * q + c]
+    return acc
+
+
+def _trial_factor(ctx, f):
+    """[(g, multiplicity)] of the nonzero index polynomial f over ctx, g
+    monic irreducible, in FqPoly.sort_key order: trial division under the
+    naive_factor caps."""
+    q, deg = ctx.q, len(f) - 1
+    if q > MAX_ORACLE_Q:
+        raise DomainError(f"field size {q} exceeds oracle cap {MAX_ORACLE_Q}")
+    if deg > MAX_ORACLE_DEG:
+        raise DomainError(f"degree {deg} exceeds oracle cap {MAX_ORACLE_DEG}")
+    if q ** (deg // 2) > MAX_ENUM:
+        raise DomainError(f"{q}^{deg // 2} trial divisors exceed the enumeration cap")
+    F = _field(ctx)
+    unit_inv = F.inv[f[-1]]
+    work = tuple(F.mul[c * q + unit_inv] for c in f)
+    found = []
+    d = 1
+    while 2 * d < len(work):
+        for tail in itertools.product(range(q), repeat=d):
+            g = tail + (1,)
+            mult = 0
+            while len(work) > d:
+                quo, rem = _divrem(F, work, g)
+                if rem:
+                    break
+                work, mult = quo, mult + 1
+            if mult:
+                found.append((g, mult))
+                # every factor left has degree >= d, so below 2d it is irreducible
+                if 2 * d >= len(work):
+                    break
+        d += 1
+    if len(work) > 1:
+        found.append((work, 1))
+    found.sort(key=lambda gm: (len(gm[0]), gm[0]))
+    return found
+
+
 def naive_factor(f):
     """Factorization by trial division, candidates in ascending degree.
 
     Divisors are extracted smallest first, so everything extracted is
     irreducible and whatever survives past degree deg/2 is too. About
-    q^(deg//2) candidates are tried, and above MAX_ENUM none.
+    q^(deg//2) candidates are tried, and above MAX_ENUM none. The division
+    runs on the tables of F_q (`_field`), not on FqPoly.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     ctx = f.ctx
-    if ctx.q > MAX_ORACLE_Q:
-        raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
-    if f.degree > MAX_ORACLE_DEG:
-        raise DomainError(f"degree {f.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
-    if ctx.q ** (f.degree // 2) > MAX_ENUM:
-        raise DomainError(f"{ctx.q}^{f.degree // 2} trial divisors exceed the enumeration cap")
-    unit = f.leading
-    work = f.monic()
-    found = []
-    d = 1
-    while 2 * d <= work.degree:
-        for g in monic_polys(ctx, d):
-            mult = 0
-            while work.degree >= d:
-                quo, rem = work.divrem(g)
-                if not rem.is_zero():
-                    break
-                work, mult = quo, mult + 1
-            if mult:
-                found.append((g, mult))
-        d += 1
-    if work.degree > 0:
-        found.append((work, 1))
-    found.sort(key=lambda fm: fm[0].sort_key())
-    return Factorization(unit, tuple(found))
+    return Factorization(f.leading, tuple(
+        (FqPoly(ctx, tuple(map(ctx.from_int, g))), mult)
+        for g, mult in _trial_factor(ctx, _indices(f))))
 
 
 def unit_count(M):
-    """Order of (F_q[T]/M)^* counted residue by residue via gcd."""
+    """Order of (F_q[T]/M)^* counted residue by residue, by Euclid on the tables of F_q."""
     if M.is_zero() or M.degree < 1:
         raise DomainError("modulus must be nonconstant")
     ctx = M.ctx
@@ -88,39 +201,49 @@ def unit_count(M):
         raise DomainError(f"field size {ctx.q} exceeds the unit count cap")
     if M.degree > 3:
         raise DomainError(f"degree {M.degree} exceeds the unit count cap")
+    F = _field(ctx)
+    m = _indices(M)
     count = 0
     for ints in itertools.product(range(ctx.q), repeat=M.degree):
-        r = FqPoly.from_ints(ctx, ints)
-        if not r.is_zero() and poly_gcd(r, M).degree == 0:
-            count += 1
+        a, b = m, ints
+        while b and not b[-1]:
+            b = b[:-1]
+        if not b:
+            continue
+        while b:
+            a, b = b, _divrem(F, a, b)[1]
+        count += len(a) == 1
     return count
 
 
 def _xdict(M):
-    """rho_M as {exponent of X: coefficient}, zero coefficients left out."""
+    """rho_M as {exponent of X: index polynomial in T}, zero coefficients left out."""
     q = M.ctx.q
-    return {q ** j: c for j, c in enumerate(carlitz_action(M)) if not c.is_zero()}
+    return {q ** j: _indices(c) for j, c in enumerate(carlitz_action(M)) if not c.is_zero()}
 
 
-def _xdict_mul(a, b):
+def _xdict_add_into(F, out, e, c):
+    prev = out.get(e)
+    out[e] = c if prev is None else _padd(F, prev, c)
+
+
+def _xdict_mul(F, a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            prev = out.get(e1 + e2)
-            prod = c1 * c2
-            out[e1 + e2] = prod if prev is None else prev + prod
-    return {e: c for e, c in out.items() if not c.is_zero()}
+            _xdict_add_into(F, out, e1 + e2, _pmul(F, c1, c2))
+    return {e: c for e, c in out.items() if c}
 
 
-def _xdict_pow(a, e):
+def _xdict_pow(F, a, e):
     result = None
     base = a
     while e:
         if e & 1:
-            result = base if result is None else _xdict_mul(result, base)
+            result = base if result is None else _xdict_mul(F, result, base)
         e >>= 1
         if e:
-            base = _xdict_mul(base, base)
+            base = _xdict_mul(F, base, base)
     return result
 
 
@@ -134,21 +257,15 @@ def _qpow_chain(N):
     return [_xdict(N)]
 
 
-def _xdict_sum(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        prev = out.get(e)
-        out[e] = c if prev is None else prev + c
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
 def carlitz_compose_check(M, N):
     """Both ring laws of the Carlitz action, recomputed formally.
 
     The composite rho_M(rho_N(X)) is expanded by substituting rho_N into
     rho_M as a plain polynomial in X (dict arithmetic, generic powering),
     not by carlitz_action's recursion, and compared against rho_{M*N}; the sum
-    law rho_{M+N} = rho_M + rho_N is compared componentwise.
+    law rho_{M+N} = rho_M + rho_N is compared componentwise. The
+    coefficients in T are multiplied and added on the tables of F_q, so
+    M*N is the one FqPoly product.
     """
     for f in (M, N):
         if f.is_zero():
@@ -156,6 +273,7 @@ def carlitz_compose_check(M, N):
         if f.degree > 2 or f.ctx.q > MAX_ORACLE_Q:
             raise DomainError("multiplier outside the composition oracle caps")
     ctx = M.ctx
+    F = _field(ctx)
     rho_m, chain = _qpow_chain(M)[0], _qpow_chain(N)
     composed = {}
     for j in range(M.degree + 1):  # the tau-degree of rho_M
@@ -165,21 +283,22 @@ def carlitz_compose_check(M, N):
         if len(chain) == j:
             power = chain[-1]
             for _ in range(ctx.mtot):
-                power = _xdict_pow(power, ctx.p)
+                power = _xdict_pow(F, power, ctx.p)
             chain.append(power)
         a = rho_m.get(ctx.q ** j)
         if a is None:
             continue
         for e, c in chain[j].items():
-            prev = composed.get(e)
-            term = a * c
-            composed[e] = term if prev is None else prev + term
-    composed = {e: c for e, c in composed.items() if not c.is_zero()}
+            _xdict_add_into(F, composed, e, _pmul(F, a, c))
+    composed = {e: c for e, c in composed.items() if c}
     if composed != _xdict(M * N):
         return False
     total = M + N
     lhs = {} if total.is_zero() else _xdict(total)
-    return lhs == _xdict_sum(rho_m, chain[0])
+    out = dict(rho_m)
+    for e, c in chain[0].items():
+        _xdict_add_into(F, out, e, c)
+    return lhs == {e: c for e, c in out.items() if c}
 
 
 def root_field_degree(gamma, d):
@@ -238,7 +357,9 @@ def splitting_at_finite(K, P):
     its splitting is read off a residue factorization: X^n - (gamma*D mod P)
     over F_{q^deg P}, giving (1, sorted factor degrees). When P divides
     gamma*D the Newton polygon of X^n - gamma*D at P is one segment from
-    (0, v_P) to (n, 0), giving (n/gcd(n, v_P), ()).
+    (0, v_P) to (n, 0), giving (n/gcd(n, v_P), ()). Division, the root of
+    P and the residue factorization run on the tables of F_q and of
+    F_{q^deg P}.
     """
     ctx = K.ctx
     if K.s != 1:
@@ -249,23 +370,28 @@ def splitting_at_finite(K, P):
         raise DomainError(f"degree {P.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
     if ctx.q ** P.degree > MAX_ORACLE_Q:
         raise DomainError(f"residue field F_{ctx.q ** P.degree} exceeds oracle cap {MAX_ORACLE_Q}")
-    if naive_factor(P).factors != ((P, 1),):
+    Pi = _indices(P)
+    if _trial_factor(ctx, Pi) != [(Pi, 1)]:
         raise DomainError("P must be irreducible")
-    work = FqPoly.const(ctx, K.gamma) * K.D
+    F = _field(ctx)
+    g = ctx.elem_to_int(K.gamma)
+    work = tuple(F.mul[g * F.q + c] for c in _indices(K.D))
     v = 0
     while True:
-        quo, rem = work.divrem(P)
-        if not rem.is_zero():
+        quo, rem = _divrem(F, work, Pi)
+        if rem:
             break
         work, v = quo, v + 1
     if v:
         return K.n // gcd(K.n, v), ()
     ext = ctx.extension(P.degree)
-    theta = next(x for x in ext.elements() if P.eval(x).is_zero())
-    c = work.eval(theta)
-    coeffs = [-c] + [ext.zero()] * (K.n - 1) + [ext.one()]
-    fact = naive_factor(FqPoly(ext, tuple(coeffs)))
-    degs = tuple(sorted(g.degree for g, mult in fact.factors for _ in range(mult)))
+    E = _field(ext)
+    # a tower numbers its elements by their coefficients over the base,
+    # lowest first, so an element of F_q keeps its index in F_{q^deg P}
+    theta = next(x for x in range(E.q) if not _eval(E, Pi, x))
+    c = _eval(E, work, theta)
+    found = _trial_factor(ext, (E.neg[c],) + (0,) * (K.n - 1) + (1,))
+    degs = tuple(sorted(len(h) - 1 for h, mult in found for _ in range(mult)))
     if sum(degs) != K.n:
         raise AssertionError(f"residue factor degrees {degs} do not sum to n = {K.n}")
     return 1, degs

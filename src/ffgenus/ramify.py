@@ -28,7 +28,6 @@ from .ffpoly import (
     FqPoly,
     factor,
     factor_int,
-    is_eth_power,
 )
 
 
@@ -48,10 +47,23 @@ class RadicalExtension(namedtuple("RadicalExtension", "ctx n gamma D D_factors s
 
     D is monic and n-th-power free (every exponent in its factorization is
     below n), p does not divide n, and X^n - gamma*D is irreducible over
-    k, so [K : k(F_{q^s})] = n. s = 1 is the plain radical extension.
+    F_{q^s}(T), so [K : k(F_{q^s})] = n. s = 1 is the plain radical extension.
     """
 
     __slots__ = ()
+
+
+def _is_power_over(a, e, s):
+    """Whether a in F_q* is an e-th power in F_{q^s}, with no field built.
+
+    With o the order of a, that holds iff o divides (q^s - 1)/gcd(e, q^s - 1),
+    that is iff o * gcd(e, q^s - 1) divides q^s - 1. Both sides are read off
+    q^s - 1 modulo o*e, so q^s itself is never formed.
+    """
+    o = a.multiplicative_order()
+    mod = o * e
+    rest = (pow(a.ctx.q, s, mod) - 1) % mod  # q^s - 1 modulo o*e
+    return rest % (o * gcd(e, rest)) == 0
 
 
 def radical_extension(ctx, n, gamma, D, s=1):
@@ -70,15 +82,17 @@ def radical_extension(ctx, n, gamma, D, s=1):
     alphas = [mult for _, mult in fac.factors]
     if any(a >= n for a in alphas):
         raise DomainError("D must be n-th-power free (all exponents below n)")
-    # X^n - a is irreducible iff a is no l-th power for primes l | n,
-    # and additionally a is outside -4 k^4 whenever 4 | n. gamma*D is an
+    # X^n - a is irreducible over F_{q^s}(T) iff a is no l-th power there
+    # for primes l | n, and additionally a is outside -4 k^4 whenever 4 | n.
+    # D's irreducible factors stay squarefree over F_{q^s}, so gamma*D is an
     # l-th power only if l divides common = gcd(n, alpha_1, ...), which is n
-    # itself when D = 1. For l | q - 1 that is one test on gamma; the part r
-    # of common prime to q - 1 makes every constant an r-th power. Only
-    # divisors of q - 1 get factored, however large n is.
+    # itself when D = 1, and gamma is one in F_{q^s}. For l | q - 1 that is
+    # one order test on gamma; an l prime to q - 1 is prime to the order of
+    # gamma, so every constant is an l-th power in F_{q^s}. Only divisors of
+    # q - 1 get factored, however large n is.
     common = reduce(gcd, alphas, n)
     for l in factor_int(gcd(common, ctx.q - 1)):
-        if is_eth_power(gamma, l):
+        if _is_power_over(gamma, l, s):
             raise DomainError(
                 f"X^{n} - gamma*D is reducible: gamma*D is an {l}-th power")
     r = common
@@ -88,7 +102,7 @@ def radical_extension(ctx, n, gamma, D, s=1):
         raise DomainError(f"X^{n} - gamma*D is reducible: gamma*D is an {r}-th power")
     if n % 4 == 0 and all(a % 4 == 0 for a in alphas):
         minus_four = -(ctx.one() + ctx.one() + ctx.one() + ctx.one())
-        if is_eth_power(gamma / minus_four, 4):
+        if _is_power_over(gamma / minus_four, 4, s):
             raise DomainError(
                 f"X^{n} - gamma*D is reducible: gamma*D lies in -4*k^4")
     return RadicalExtension(ctx, n, gamma, D, fac, s)

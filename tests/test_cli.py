@@ -388,10 +388,13 @@ GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_
 
 
 def _golden_ids(cases):
-    """command-field[-json], with --poly appended where that repeats an earlier id."""
+    """command-field[-json][-sS], with the fourth argument appended where that
+    repeats an earlier id."""
     ids = []
     for argv in (case["argv"] for case in cases):
         gid = f"{argv[0]}-{argv[2]}" + ("-json" if "json" in argv else "")
+        if "--base-constants" in argv:
+            gid += f"-s{argv[argv.index('--base-constants') + 1]}"
         ids.append(f"{gid}-{argv[4]}" if gid in ids else gid)
     return ids
 
@@ -403,9 +406,11 @@ def test_cli_golden_output(capsys, case):
     degree 12 over F_2 and 11 over F_3, captured before the coefficient
     recursion, and analyze in text and JSON for two K with constant field
     F_{q^2} (gcd(n, alpha_1, ...) = 2), captured when geometric became
-    exact: stdout must match byte for byte."""
-    code, out = run_main(capsys, case["argv"])
-    assert (code, out) == (case["code"], case["stdout"])
+    exact, and the reducible radicand that base constants F_9 make of
+    2T^2 (exit 1): stdout and stderr must match byte for byte."""
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case.get("stderr", ""))
 
 
 @pytest.mark.parametrize("field", ["16", "27", "32", "49"])

@@ -620,6 +620,49 @@ def test_edf_split_output_does_not_depend_on_the_draws(p, m, text):
         assert all(h.degree == d and is_irreducible(h) for h in found)
 
 
+def _distinct_degree_by_powmods(f):
+    """The distinct-degree loop with one powmod by q per Frobenius step."""
+    x = FqPoly.x(f.ctx)
+    xp, rem, d = x, f, 0
+    while rem.degree > 0:
+        d += 1
+        if 2 * d > rem.degree:
+            yield rem.degree, rem
+            return
+        xp = ffpoly.powmod(xp, f.ctx.q, rem)
+        g = ffpoly.poly_gcd(xp - x, rem)
+        if g.degree > 0:
+            yield d, g
+            rem = (rem // g).monic()
+            xp = xp % rem
+
+
+def test_frobenius_table_yields_what_powmods_yield(monkeypatch):
+    # each field reaches the table after a few steps: the first powmods cost
+    # bits(q) + popcount(q) products, the table deg rest
+    powmods = []
+    powmod = ffpoly.powmod
+    monkeypatch.setattr(ffpoly, "powmod", lambda *a: powmods.append(1) or powmod(*a))
+    rng = random.Random(20260815)
+    steps = table_steps = 0
+    for p, m, deg in [(2, 1, 24), (3, 1, 16), (7, 1, 14), (5, 2, 12), (2, 8, 10), (3, 5, 8)]:
+        ctx = make_context(p, m)
+        for _ in range(5):
+            f = FqPoly.from_ints(ctx, [rng.randrange(ctx.q) for _ in range(deg)] + [1])
+            for sqfree, _ in ffpoly._squarefree_parts(f):
+                powmods.clear()
+                expected = list(_distinct_degree_by_powmods(sqfree))
+                reference = len(powmods)
+                powmods.clear()
+                assert list(ffpoly._distinct_degree(sqfree)) == expected, f
+                assert len(powmods) <= reference
+                if reference == 1:  # a call that ends after one step keeps its powmod
+                    assert len(powmods) == 1
+                steps += reference
+                table_steps += reference - len(powmods)
+    assert table_steps > steps // 4
+
+
 def test_repeated_factors_char2():
     ctx = make_context(2, 2)
     x = FqPoly.x(ctx)

@@ -8,11 +8,13 @@ import random
 
 import pytest
 
+from ffgenus import ffpoly, oracle
 from ffgenus.carlitz import euler_phi
 from ffgenus.ffpoly import (
     DomainError,
     FqPoly,
     factor,
+    factor_int,
     make_context,
     monic_polys,
     parse_poly,
@@ -21,6 +23,7 @@ from ffgenus.ffpoly import (
 from ffgenus.oracle import (
     MAX_ORACLE_Q,
     SWEEP_SEED,
+    _field,
     carlitz_compose_check,
     naive_factor,
     newton_polygon_e,
@@ -259,3 +262,110 @@ def test_splitting_rejects_bad_inputs():
     K5 = K_of(C5, 2, 1, "T")
     with pytest.raises(DomainError):
         splitting_at_finite(K5, parse_poly(C5, "T^3 + T + 1"))  # residue field 125 > 81
+
+
+# ------------------------------------------------- tables of the small fields
+
+def _oracle_fields():
+    """Every field an oracle tabulates: the flat F_q with q <= MAX_ORACLE_Q and
+    the residue towers F_q[^r] with q^r <= MAX_ORACLE_Q of splitting_at_finite."""
+    out = []
+    for q in range(2, MAX_ORACLE_Q + 1):
+        primes = factor_int(q)
+        if len(primes) > 1:
+            continue
+        (p, m), = primes.items()
+        ctx = make_context(p, m)
+        out.append(ctx)
+        r = 2
+        while q ** r <= MAX_ORACLE_Q:
+            out.append(ctx.extension(r))
+            r += 1
+    return out
+
+
+def test_field_tables_match_element_arithmetic():
+    fields = _oracle_fields()
+    assert len(fields) == 32 + 14
+    for ctx in fields:
+        F = _field(ctx)
+        q = ctx.q
+        assert (F.q, len(F.add), len(F.mul), len(F.neg), len(F.inv)) == (q, q * q, q * q, q, q)
+        els = [ctx.from_int(i) for i in range(q)]
+        for a, x in enumerate(els):
+            assert ctx.elem_to_int(x) == a
+            assert els[F.neg[a]] == -x
+            if a:
+                assert els[F.inv[a]] * x == ctx.one()
+            for b, y in enumerate(els):
+                assert els[F.add[a * q + b]] == x + y
+                assert els[F.mul[a * q + b]] == x * y
+        if ctx.base is not None:
+            # splitting_at_finite reads a base index as the same index upstairs
+            base = ctx.base
+            assert all(ctx.elem_to_int(ctx.lift(base.from_int(i))) == i for i in range(base.q))
+
+
+SPLIT_SAMPLE = [  # (q, n, gamma, D, P, splitting_at_finite before the tables)
+    (3, 2, 2, "T^2 + 2*T", "T^4 + 2*T^3 + 2", (1, (1, 1))),
+    (4, 3, 3, "T^2 + g*T + g^2", "T^3 + g*T^2 + 1", (1, (1, 1, 1))),
+    (5, 4, 4, "T^2 + 4", "T^2 + T + 1", (1, (4,))),
+    (5, 6, 2, "T^2 + T", "T^2 + T + 1", (1, (1, 1, 1, 1, 1, 1))),
+    (9, 4, 2, "T^2 + g^5*T + g^5", "T^2 + g^2*T + g^2", (1, (1, 1, 1, 1))),
+    (7, 8, 1, "T^2 + 3*T + 1", "T^2 + 3*T + 1", (8, ())),
+    (2, 5, 1, "T^2 + T + 1", "T^6 + T^5 + T^3 + T^2 + 1", (1, (1, 2, 2))),
+    (3, 5, 2, "T^2 + T", "T^3 + T^2 + 2", (1, (1, 4))),
+]
+
+
+def test_table_oracles_need_no_polynomial_division(monkeypatch):
+    """naive_factor, unit_count, splitting_at_finite and carlitz_compose_check
+    keep their values with FqPoly division, evaluation, gcd and enumeration
+    refused, and carlitz_compose_check multiplies FqPolys once (M*N)."""
+    rng = random.Random(SWEEP_SEED)
+    contexts = {c.q: c for c in (C2, C3, C4, C5, C9, C25, make_context(7, 1))}
+    factor_cases = []
+    for ctx, max_deg in ((C3, 6), (C4, 5), (C9, 4), (C25, 4)):
+        for _ in range(15):
+            deg = rng.randrange(1, max_deg + 1)
+            f = FqPoly.from_ints(ctx, [rng.randrange(ctx.q) for _ in range(deg)]
+                                 + [rng.randrange(1, ctx.q)])
+            factor_cases.append((f, factor(f)))
+    phi_cases = [(m, euler_phi(m)) for ctx in (C3, C4) for d in (1, 2, 3)
+                 for m in list(monic_polys(ctx, d))[:12]]
+    carlitz_pairs = []
+    for ctx in (C2, C3, C4, C5):
+        polys = [FqPoly.const(ctx, ctx.from_int(u)) * f for d in range(3)
+                 for f in monic_polys(ctx, d) for u in range(1, ctx.q)]
+        carlitz_pairs += [(rng.choice(polys), rng.choice(polys)) for _ in range(6)]
+    split_cases = []
+    for q, n, g, dtxt, ptxt, expected in SPLIT_SAMPLE:
+        ctx = contexts[q]
+        K = radical_extension(ctx, n, ctx.from_int(g), parse_poly(ctx, dtxt))
+        P = parse_poly(ctx, ptxt)
+        ctx.extension(P.degree)  # a tower modulus comes from is_irreducible: build it now
+        split_cases.append((K, P, expected))
+
+    def refuse(*args):
+        raise AssertionError("a table oracle ran FqPoly arithmetic")
+
+    assert not {"poly_gcd", "monic_polys"} & set(vars(oracle))
+
+    monkeypatch.setattr(FqPoly, "divrem", refuse)
+    monkeypatch.setattr(FqPoly, "eval", refuse)
+    monkeypatch.setattr(ffpoly, "poly_gcd", refuse)
+    monkeypatch.setattr(ffpoly, "monic_polys", refuse)
+    products = []
+    mul = FqPoly.__mul__
+    monkeypatch.setattr(FqPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for f, expected in factor_cases:
+        assert naive_factor(f) == expected, f
+    for m, expected in phi_cases:
+        assert unit_count(m) == expected, m
+    for K, P, expected in split_cases:
+        assert splitting_at_finite(K, P) == expected, (K, P)
+    assert not products
+    for M, N in carlitz_pairs:
+        products.clear()
+        assert carlitz_compose_check(M, N), (M, N)
+        assert len(products) <= 1

@@ -101,6 +101,54 @@ def test_reducibility_matches_rule_over_all_primes_of_n():
                     assert got == expected, (ctx.q, n, text, gamma)
 
 
+def test_reducibility_over_base_constants_matches_roots_in_the_extension():
+    """Over F_{q^s}(T) the rule asks whether gamma has an l-th root in F_{q^s}
+    (gamma/(-4) a 4th root); the reference finds one by scanning that field."""
+    texts = ["1", "T", "T^2", "T^3*(T+1)^3", "T^4", "T^6"]
+    for p, m, s_max in [(3, 1, 4), (5, 1, 3), (7, 1, 2), (2, 2, 3), (3, 2, 2)]:
+        ctx = make_context(p, m)
+        for s in range(1, s_max + 1):
+            ext = ctx.extension(s)
+            nonzero = list(ext.elements())[1:]
+
+            def has_root(a, e):
+                a = a if ext is ctx else ext.lift(a)
+                return any(x ** e == a for x in nonzero)
+
+            for n in range(2, 13):
+                if n % p == 0:
+                    continue
+                for text in texts:
+                    D = parse_poly(ctx, text)
+                    alphas = [mult for _, mult in factor(D).factors]
+                    if any(a >= n for a in alphas):
+                        continue
+                    for gamma in list(ctx.elements())[1:]:
+                        expected = any(all(a % l == 0 for a in alphas) and has_root(gamma, l)
+                                       for l in sympy.primefactors(n))
+                        if n % 4 == 0 and all(a % 4 == 0 for a in alphas):
+                            minus_four = -(ctx.one() + ctx.one() + ctx.one() + ctx.one())
+                            expected = expected or has_root(gamma / minus_four, 4)
+                        try:
+                            radical_extension(ctx, n, gamma, D, s)
+                            got = False
+                        except DomainError:
+                            got = True
+                        assert got == expected, (ctx.q, s, n, text, gamma)
+
+
+def test_base_constants_that_split_the_radicand_are_refused():
+    # 2 = -1 is a square in F_9, so 2T^2 = (iT)^2 and X^4 - 2T^2 splits over F_9(T)
+    K_of(3, 1, 4, 2, "T^2")
+    with pytest.raises(DomainError, match="is an 2-th power"):
+        K_of(3, 1, 4, 2, "T^2", s=2)
+    # -1 is no square in F_27; X^4 - 3 = X^4 + 4 over F_7 splits by Sophie
+    # Germain, and 3 is no square in F_343 either
+    K_of(3, 1, 4, 2, "T^2", s=3)
+    with pytest.raises(DomainError, match="-4"):
+        K_of(7, 1, 4, 3, "1", s=3)
+
+
 def test_radical_extension_with_huge_n_factors_only_small_values():
     ctx = make_context(5, 1)
     n = 10 ** 18 + 3  # prime; sympy would factor it, the gcds never do
