@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ffpoly import DomainError, FqPoly, factor, is_irreducible
+from .ffpoly import DomainError, FqPoly, factor, is_irreducible, power_exceeds
 
 MAX_X_DEG = 1 << 20
 
@@ -31,7 +31,7 @@ def carlitz_action(M):
     if M.is_zero():
         raise DomainError("the Carlitz action needs a nonzero multiplier")
     ctx = M.ctx
-    if ctx.q ** M.degree > MAX_X_DEG:
+    if power_exceeds(ctx.q, M.degree, MAX_X_DEG):
         raise DomainError(f"q^deg M = {ctx.q ** M.degree} exceeds cap {MAX_X_DEG}")
     zero = ctx.zero()
     rho = [FqPoly.const(ctx, M.leading)]

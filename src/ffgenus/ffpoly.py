@@ -283,6 +283,14 @@ def _digits(i, p, m):
     return out
 
 
+def _undigits(digits, p):
+    """The integer with the given base-p digits, lowest first: `_digits` inverted."""
+    i = 0
+    for d in reversed(digits):
+        i = i * p + d
+    return i
+
+
 def _mulmod_digits(a, b, p, mod):
     """a*b for digit lists over F_p, reduced by X^m + sum(mod[j] X^j).
 
@@ -362,10 +370,7 @@ def _flat_tables(p, m, modulus):
             gd.pop()
         x = one
         for k in range(n):
-            v = 0
-            for d in reversed(x):
-                v = v * p + d
-            exp[k] = v
+            exp[k] = _undigits(x, p)
             x = _mulmod_digits(x, gd, p, modulus)
     log = array("H", [0]) * q
     for k, v in enumerate(exp):
@@ -423,31 +428,18 @@ class FqContext:
         """The i-th element in canonical order, 0 <= i < q."""
         if self.base is None:
             return self._cls(self, i % self.q)
-        qb = self.qbase
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(self.base.from_int(i % qb))
-            i //= qb
-        return _TowerElem(self, tuple(coeffs))
+        return _TowerElem(self, tuple(map(self.base.from_int, _digits(i, self.qbase, self.m))))
 
     def elem_to_int(self, a):
         if self.base is None:
             return a.v
-        i = 0
-        for c in reversed(a.v):
-            i = i * self.qbase + self.base.elem_to_int(c)
-        return i
+        return _undigits([self.base.elem_to_int(c) for c in a.v], self.qbase)
 
     def elem(self, int_coeffs):
         """Element from a coefficient vector of integers (low degree first)."""
         if len(int_coeffs) > self.m:
             raise ParseError("coefficient vector longer than the field degree")
-        qb = self.qbase
-        digits = [c % qb for c in int_coeffs] + [0] * (self.m - len(int_coeffs))
-        i = 0
-        for d in reversed(digits):
-            i = i * qb + d
-        return self.from_int(i)
+        return self.from_int(_undigits([c % self.qbase for c in int_coeffs], self.qbase))
 
     def lift(self, a):
         """Embed an element of the base context (a tower constant)."""
@@ -521,6 +513,12 @@ def _first_irreducible(ctx, r):
             return tail
 
 
+def power_exceeds(q, k, cap):
+    """Whether q^k > cap for q >= 2, k >= 0; a k at or past the bit length of
+    cap settles it before q^k is built."""
+    return k >= cap.bit_length() or q ** k > cap
+
+
 _CTX_CACHE = {}
 
 
@@ -535,8 +533,7 @@ def make_context(p, m):
         raise DomainError("p and m must be integers")
     if m < 1:
         raise DomainError("m must be at least 1")
-    # the cap comes first, and a huge m fails it before p ** m is built
-    if m >= MAX_Q.bit_length() or p ** m > MAX_Q:
+    if power_exceeds(p, m, MAX_Q):
         raise DomainError(f"q = {p}^{m} exceeds cap {MAX_Q}")
     if p < 2 or factor_int(p) != {p: 1}:
         raise DomainError(f"{p} is not prime")
@@ -658,13 +655,6 @@ class FqPoly:
         if self.is_zero() or self.is_monic:
             return self
         return self.scale(self.leading.inverse())
-
-    def eval(self, a):
-        acc = a.ctx.zero()
-        for c in reversed(self.coeffs):
-            val = c if c.ctx is a.ctx else a.ctx.lift(c)
-            acc = acc * a + val
-        return acc
 
     def derivative(self):
         out = []
@@ -854,15 +844,21 @@ def factor(f):
     return Factorization(unit, tuple(found))
 
 
-def is_eth_power(gamma, e):
-    """Whether gamma lies in (F_q*)^e, via one exponentiation."""
+def is_eth_power(gamma, e, s=1):
+    """Whether gamma in F_Q* is an e-th power in F_{Q^s}, via one exponentiation.
+
+    With N = Q^s - 1 that holds iff gamma^gcd(Q - 1, N/gcd(e, N)) = 1. The
+    exponent is read off R = N mod e(Q - 1): gcd(e, N) = gcd(e, R) = g, and
+    N/g = R/g mod Q - 1, so Q^s itself is never built. At s = 1 it is
+    (Q - 1)/gcd(e, Q - 1).
+    """
     if gamma.is_zero():
         raise DomainError("gamma must be nonzero")
     if e < 1:
         raise DomainError("e must be positive")
-    q = gamma.ctx.q
-    g = gcd(e, q - 1)
-    return (gamma ** ((q - 1) // g)) == gamma.ctx.one()
+    n = gamma.ctx.q - 1
+    rest = (pow(n + 1, s, e * n) - 1) % (e * n)
+    return gamma ** gcd(n, rest // gcd(e, rest)) == gamma.ctx.one()
 
 
 def monic_polys(ctx, degree):

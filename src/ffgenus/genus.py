@@ -294,14 +294,14 @@ def _root_splits(residues, eps, unit, deg):
     residues is _infinity_residue_data of K. In each completion at infinity
     the root exists iff eps divides the value e_inf * deg and the unit-part
     residue x = unit * r^(a * deg) of top = F_{q^f} is an eps-th power of
-    F_{q^t}: with m = q^f - 1 and M = q^t - 1, x^gcd(m, M/gcd(eps, M)) = 1.
-    The primes over one factor are Frobenius conjugates and share the answer.
+    F_{q^t}, the degree-t/f extension of top. The primes over one factor are
+    Frobenius conjugates and share the answer.
     """
     e, a, data = residues
-    q = unit.ctx.q
+    mtot = unit.ctx.mtot
     return (e * deg) % eps == 0 and all(
         is_eth_power((unit if top is unit.ctx else top.lift(unit)) * r ** (a * deg),
-                     (top.q - 1) // gcd(top.q - 1, (q ** t - 1) // gcd(eps, q ** t - 1)))
+                     eps, t // (top.mtot // mtot))
         for top, r, t in data)
 
 
@@ -635,10 +635,8 @@ def prime_power_case(K):
     d = min(nu, p_adic_val(l, K.D.degree))
     delta = min(min(nu, ai + dpi) for ai, dpi in zip(a, dprime))
     beta = K.gamma if K.D.degree % 2 == 0 else -K.gamma
-    ord_beta = beta.multiplicative_order()
-    ld = l ** d
     m = 0
-    while ((q ** (l ** m) - 1) // gcd(ld, q ** (l ** m) - 1)) % ord_beta != 0:
+    while not is_eth_power(beta, l ** d, l ** m):
         m += 1
         if m > d:  # the l^d-th roots of beta lie in F_{q^(l^d)}
             raise AssertionError(f"t0 exponent m = {m} exceeds d = {d}")

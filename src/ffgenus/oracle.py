@@ -10,7 +10,7 @@ most MAX_ORACLE_Q elements, so they compute on canonical element indices
 with add/mul/neg/inv tables (`_field`) that each field builds once from
 its own element arithmetic: trial division, Euclid, Horner evaluation and
 products of polynomials are table lookups, and no FqPoly division,
-product, gcd or evaluation runs. t0_root_degrees scans splitting fields
+product or gcd runs. t0_root_degrees scans splitting fields
 of up to MAX_ENUM elements with element arithmetic. The one exception is
 enumerate_F, the reference for the subgroup algebra of genus.find_F: it
 walks the whole subfield lattice but runs the split test at infinity and
@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
-from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power
+from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power, power_exceeds
 from .genus import (
     _bound_only,
     _infinity_residue_data,
@@ -148,7 +148,7 @@ def _trial_factor(ctx, f):
         raise DomainError(f"field size {q} exceeds oracle cap {MAX_ORACLE_Q}")
     if deg > MAX_ORACLE_DEG:
         raise DomainError(f"degree {deg} exceeds oracle cap {MAX_ORACLE_DEG}")
-    if q ** (deg // 2) > MAX_ENUM:
+    if power_exceeds(q, deg // 2, MAX_ENUM):
         raise DomainError(f"{q}^{deg // 2} trial divisors exceed the enumeration cap")
     F = _field(ctx)
     unit_inv = F.inv[f[-1]]
@@ -301,20 +301,22 @@ def carlitz_compose_check(M, N):
     return lhs == {e: c for e, c in out.items() if c}
 
 
-def root_field_degree(gamma, d):
-    """Least b such that F_{q^b} holds every d-th root of gamma (p prime to d).
+def root_field_degree(gamma, d, cap):
+    """Least b such that F_{q^b} holds every d-th root of gamma (p prime to d),
+    or None when q^b exceeds cap.
 
-    That is the order of q modulo d * ord(gamma), which is prime to q.
+    That is the order of q modulo d * ord(gamma), which is prime to q; the
+    search stops at the first b with q^b above cap, so it takes at most
+    log2(cap) steps.
     """
     q = gamma.ctx.q
     target = d * gamma.multiplicative_order()
     b, qb = 1, q % target
-    while qb != 1 % target:
-        b += 1
-        qb = (qb * q) % target
-        if b > target:
-            raise AssertionError(f"q = {q} has no multiplicative order modulo {target}")
-    return b
+    while not power_exceeds(q, b, cap):
+        if qb == 1 % target:
+            return b
+        b, qb = b + 1, qb * q % target
+    return None
 
 
 def t0_root_degrees(gamma, d):
@@ -333,9 +335,10 @@ def t0_root_degrees(gamma, d):
         raise DomainError("d must be prime to the characteristic")
     if ctx.q > MAX_ORACLE_Q:
         raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
-    b = root_field_degree(gamma, d)
-    if ctx.q ** b > MAX_ENUM:
-        raise DomainError(f"splitting field F_{ctx.q}^{b} exceeds the enumeration cap")
+    b = root_field_degree(gamma, d, MAX_ENUM)
+    if b is None:
+        raise DomainError(f"the splitting field of X^{d} - gamma over F_{ctx.q} "
+                          "exceeds the enumeration cap")
     ext = ctx.extension(b)
     glift = gamma if ext is ctx else ext.lift(gamma)
     roots = [x for x in ext.elements() if x ** d == glift and not x.is_zero()]
@@ -368,7 +371,7 @@ def splitting_at_finite(K, P):
         raise DomainError("P must be a nonconstant monic polynomial over the base")
     if P.degree > MAX_ORACLE_DEG:
         raise DomainError(f"degree {P.degree} exceeds oracle cap {MAX_ORACLE_DEG}")
-    if ctx.q ** P.degree > MAX_ORACLE_Q:
+    if power_exceeds(ctx.q, P.degree, MAX_ORACLE_Q):
         raise DomainError(f"residue field F_{ctx.q ** P.degree} exceeds oracle cap {MAX_ORACLE_Q}")
     Pi = _indices(P)
     if _trial_factor(ctx, Pi) != [(Pi, 1)]:

@@ -28,6 +28,7 @@ from .ffpoly import (
     FqPoly,
     factor,
     factor_int,
+    is_eth_power,
 )
 
 
@@ -51,19 +52,6 @@ class RadicalExtension(namedtuple("RadicalExtension", "ctx n gamma D D_factors s
     """
 
     __slots__ = ()
-
-
-def _is_power_over(a, e, s):
-    """Whether a in F_q* is an e-th power in F_{q^s}, with no field built.
-
-    With o the order of a, that holds iff o divides (q^s - 1)/gcd(e, q^s - 1),
-    that is iff o * gcd(e, q^s - 1) divides q^s - 1. Both sides are read off
-    q^s - 1 modulo o*e, so q^s itself is never formed.
-    """
-    o = a.multiplicative_order()
-    mod = o * e
-    rest = (pow(a.ctx.q, s, mod) - 1) % mod  # q^s - 1 modulo o*e
-    return rest % (o * gcd(e, rest)) == 0
 
 
 def radical_extension(ctx, n, gamma, D, s=1):
@@ -92,7 +80,7 @@ def radical_extension(ctx, n, gamma, D, s=1):
     # q - 1 get factored, however large n is.
     common = reduce(gcd, alphas, n)
     for l in factor_int(gcd(common, ctx.q - 1)):
-        if _is_power_over(gamma, l, s):
+        if is_eth_power(gamma, l, s):
             raise DomainError(
                 f"X^{n} - gamma*D is reducible: gamma*D is an {l}-th power")
     r = common
@@ -102,7 +90,7 @@ def radical_extension(ctx, n, gamma, D, s=1):
         raise DomainError(f"X^{n} - gamma*D is reducible: gamma*D is an {r}-th power")
     if n % 4 == 0 and all(a % 4 == 0 for a in alphas):
         minus_four = -(ctx.one() + ctx.one() + ctx.one() + ctx.one())
-        if _is_power_over(gamma / minus_four, 4, s):
+        if is_eth_power(gamma / minus_four, 4, s):
             raise DomainError(
                 f"X^{n} - gamma*D is reducible: gamma*D lies in -4*k^4")
     return RadicalExtension(ctx, n, gamma, D, fac, s)

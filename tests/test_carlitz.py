@@ -17,9 +17,16 @@ from ffgenus.oracle import carlitz_compose_check
 
 
 def _at(rho, t, u):
-    """rho(u) with T specialized to t: sum_j c_j(t) * u^(q^j)."""
-    q = rho[0].ctx.q
-    return sum((c.eval(t) * u ** q ** j for j, c in enumerate(rho)), u.ctx.zero())
+    """rho(u) with T specialized to t: sum_j c_j(t) * u^(q^j), t and u in an
+    extension of the coefficient field."""
+    q, ext = rho[0].ctx.q, u.ctx
+    out = ext.zero()
+    for j, c in enumerate(rho):
+        ct = ext.zero()
+        for a in reversed(c.coeffs):  # Horner
+            ct = ct * t + ext.lift(a)
+        out = out + ct * u ** q ** j
+    return out
 
 
 def test_action_of_one_is_identity():

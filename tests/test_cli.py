@@ -156,6 +156,10 @@ def test_base_constants_end_fast(argv, code, line):
     ["oracle-verify", "--field", "17", "--n", "16", "--gamma", "3", "--poly", "T"],
     ["oracle-verify", "--field", "32", "--n", "9", "--gamma", "g", "--poly", "T"],
     ["oracle-verify", "--field", "81"],  # the largest field of the composition check
+    # the splitting check's cap is decided before 3^(n//2 + 1) is built
+    ["oracle-verify", "--field", "3", "--n", "100000001", "--gamma", "1", "--poly", "T"],
+    ["oracle-verify", "--field", "3", "--n", "1000000000000000000001", "--gamma", "1",
+     "--poly", "T"],
     # factor at the degree cap, one field of each element class: an odd-p extension,
     # a large prime field and a binary extension
     ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
@@ -163,12 +167,15 @@ def test_base_constants_end_fast(argv, code, line):
     ["factor", "--field", "2^16", "--poly", "T^64+T+g"],
 ], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24",
         "oracle-verify-17-n16", "oracle-verify-32-n9", "oracle-verify-81",
+        "oracle-verify-3-n1e8", "oracle-verify-3-n1e21",
         "factor-3^10-deg64", "factor-65521-deg64", "factor-2^16-deg64"])
 def test_valid_inputs_at_a_cap_end_within_budget(argv):
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)
     assert time.perf_counter() - start < 10.0
     assert proc.returncode == 0, proc.stderr
+    if argv[0] == "oracle-verify" and "--n" in argv:  # every such row is past the splitting cap
+        assert proc.stdout.endswith(b"skip splitting_at_finite vs ram_finite\nall checks passed\n")
 
 
 def test_profile_file_runs_abstract_path(capsys, tmp_path):

@@ -691,12 +691,22 @@ def test_is_eth_power_zero_rejected():
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)])
 def test_is_eth_power_matches_brute_force(p, m):
-    ctx = make_context(p, m)
-    units = [a for a in ctx.elements() if not a.is_zero()]
-    for e in range(1, 13):
-        powers = {a ** e for a in units}
-        for gamma in units:
-            assert is_eth_power(gamma, e) == (gamma in powers)
+    """is_eth_power(gamma, e, s) against a scan of the e-th powers of the
+    degree-s extension, s = 1, 2, 3, for gamma in F_{p^m} and in its tower
+    of degree 2, wherever that extension has at most 256 elements."""
+    flat = make_context(p, m)
+    for ctx in (flat, flat.extension(2)):
+        gammas = [a for a in ctx.elements() if not a.is_zero()]
+        for s in (1, 2, 3):
+            if ctx.q ** s > 256:
+                break
+            ext = ctx.extension(s)
+            units = [a for a in ext.elements() if not a.is_zero()]
+            for e in range(1, 13):
+                powers = {a ** e for a in units}
+                for gamma in gammas:
+                    lifted = gamma if ext is ctx else ext.lift(gamma)
+                    assert is_eth_power(gamma, e, s) == (lifted in powers), (ctx, s, e, gamma)
 
 
 # -- literals --

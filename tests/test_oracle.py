@@ -5,6 +5,7 @@ oracle is pinned against hand-checked values and a reduced sweep.
 """
 
 import random
+import time
 
 import pytest
 
@@ -203,6 +204,16 @@ def test_t0_root_degrees_rejects():
         t0_root_degrees(C3.one(), 0)
 
 
+def test_t0_root_degrees_refuses_a_large_root_field_fast():
+    # the order of 3 modulo d is 5,882,352 and 14,567,280: the search for it
+    # stops once 3^b passes MAX_ENUM, where walking to the order took 2-7 s
+    for d in (10**8 + 1, 2 * 10**9 + 3):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="exceeds the enumeration cap"):
+            t0_root_degrees(C3.one(), d)
+        assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------- splitting_at_finite
 
 def test_splitting_unramified_residue_degrees():
@@ -320,8 +331,8 @@ SPLIT_SAMPLE = [  # (q, n, gamma, D, P, splitting_at_finite before the tables)
 
 def test_table_oracles_need_no_polynomial_division(monkeypatch):
     """naive_factor, unit_count, splitting_at_finite and carlitz_compose_check
-    keep their values with FqPoly division, evaluation, gcd and enumeration
-    refused, and carlitz_compose_check multiplies FqPolys once (M*N)."""
+    keep their values with FqPoly division, gcd and enumeration refused,
+    and carlitz_compose_check multiplies FqPolys once (M*N)."""
     rng = random.Random(SWEEP_SEED)
     contexts = {c.q: c for c in (C2, C3, C4, C5, C9, C25, make_context(7, 1))}
     factor_cases = []
@@ -352,7 +363,6 @@ def test_table_oracles_need_no_polynomial_division(monkeypatch):
     assert not {"poly_gcd", "monic_polys"} & set(vars(oracle))
 
     monkeypatch.setattr(FqPoly, "divrem", refuse)
-    monkeypatch.setattr(FqPoly, "eval", refuse)
     monkeypatch.setattr(ffpoly, "poly_gcd", refuse)
     monkeypatch.setattr(ffpoly, "monic_polys", refuse)
     products = []
