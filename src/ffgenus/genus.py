@@ -42,11 +42,9 @@ from .ramify import build_profile, p_adic_val
 # -- symbolic field expressions --
 
 
-class RadicalGen(namedtuple("RadicalGen", "e unit sign poly degree")):
-    """One Kummer generator, the e-th root of unit * poly.
+class RadicalGen(namedtuple("RadicalGen", "e unit sign poly")):
+    """One Kummer generator, the e-th root of unit * poly, of degree e over k.
 
-    degree is [k(root) : k]; it equals e except for generators kept in
-    unreduced form, where only the degree of the root is certified.
     sign is +-1 when the unit is +-1 and 0 for a general constant.
     """
 
@@ -54,14 +52,10 @@ class RadicalGen(namedtuple("RadicalGen", "e unit sign poly degree")):
 
     def render(self):
         if self.sign == 1:
-            body = f"({self.poly})^(1/{self.e})"
-        elif self.sign == -1:
-            body = f"(-({self.poly}))^(1/{self.e})"
-        else:
-            body = f"({self.unit}*({self.poly}))^(1/{self.e})"
-        if self.degree != self.e:
-            body += f"[deg {self.degree}]"
-        return body
+            return f"({self.poly})^(1/{self.e})"
+        if self.sign == -1:
+            return f"(-({self.poly}))^(1/{self.e})"
+        return f"({self.unit}*({self.poly}))^(1/{self.e})"
 
     def json(self):
         d = {"e": self.e}
@@ -70,8 +64,6 @@ class RadicalGen(namedtuple("RadicalGen", "e unit sign poly degree")):
         else:
             d["unit"] = self.unit
         d["poly"] = self.poly
-        if self.degree != self.e:
-            d["degree"] = self.degree
         return d
 
 
@@ -153,7 +145,7 @@ def field_expr(q, gens=(), constants_deg=1):
     return FieldExpr(q, rads, cyc, opq, constants_deg)
 
 
-def _radical_gen(e, unit, poly, degree=None):
+def _radical_gen(e, unit, poly):
     """The generator root^e = unit * poly, with poly already rendered."""
     ctx = unit.ctx
     if unit == ctx.one():
@@ -162,8 +154,7 @@ def _radical_gen(e, unit, poly, degree=None):
         sign = -1
     else:
         sign = 0
-    return RadicalGen(e, render_element(unit), sign, poly,
-                      e if degree is None else degree)
+    return RadicalGen(e, render_element(unit), sign, poly)
 
 
 # -- per-place components --
@@ -206,7 +197,7 @@ class PlaceComponent(namedtuple("PlaceComponent", "poly deg e_P e0 u_P c_P e_inf
 
 class GenusComponents(namedtuple(
         "GenusComponents",
-        "q places c_inf e_inf cprime_bound F0 F0_plus_deg cprime_exact F t0 u_status")):
+        "q places c_inf e_inf cprime_bound F0 F0_plus_deg cprime_exact F u_status")):
     """F_0 = product of the F_P, with its infinite-prime bookkeeping.
 
     c_inf = lcm of the per-place e_inf_FP (the ramification of the infinite
@@ -253,7 +244,7 @@ def build_F0(profile):
         q=q, places=tuple(places), c_inf=c_inf, e_inf=profile.e_inf,
         cprime_bound=gcd(c_inf, profile.e_inf), F0=field_expr(q, gens, 1),
         F0_plus_deg=total // c_inf, cprime_exact=None, F=None,
-        t0=profile.t0, u_status="bounded_unknown")
+        u_status="bounded_unknown")
 
 
 # -- splitting of infinite primes in Kummer composites --
@@ -268,15 +259,19 @@ def _infinity_residue_data(profile):
     and T = z^a * pi^{-e} for any uniformizer pi = y^a/T^c with
     c*e - a*m' = 1. Returns (e, a, data), data holding for each factor of
     X^d - gamma over F_q a root r in top = F_{q^f} and the residue degree
-    t = lcm(f, s) of the gcd(f, s) infinite primes over that factor.
+    t = lcm(f, s) of the gcd(f, s) infinite primes over that factor
+    (Lidl-Niederreiter, Thm 3.46).
     """
     K = profile.radical
     d = gcd(K.D.degree, K.n)
     e = K.n // d
     mprime = K.D.degree // d
     a = (-pow(mprime, -1, e)) % e if e > 1 else 0
+    fac = factor(FqPoly.x(K.ctx) ** d - FqPoly.const(K.ctx, K.gamma))
+    if any(mult > 1 for _, mult in fac.factors):
+        raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
     data = []
-    for h in profile.infinity_factors:
+    for h, _ in fac.factors:
         if h.degree == 1:
             top, r = h.ctx, -h.coeffs[0]
         else:
@@ -403,9 +398,9 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
 
     The element is w = lam * prod P_i^{x_i mu_i} with lam the sign
     (-1)^{deg w}; its root generates a field of degree o = the order of w
-    modulo N'-th powers. When the exponents and the sign admit an o-th
-    root form the generator is rewritten with e = o, otherwise it is kept
-    at exponent N' with the certified degree attached.
+    modulo N'-th powers, and the generator is rewritten with e = o. As
+    N' | q - 1, red = N'/o divides every exponent, and some lam0 in F_q*
+    has lam0^red in lam * (F_q*)^{N'}.
     """
     q = ctx.q
     exps = [xi * m for xi, m in zip(x, mus)]
@@ -417,15 +412,13 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
     o_lam = lam_ord // gcd(lam_ord, (q - 1) // Nprime)
     o = lcm(o_val, o_lam)
     red = Nprime // o
-    if all(v % red == 0 for v in exps):
-        for i in range(1, q):
-            lam0 = ctx.from_int(i)
-            if is_eth_power(lam0 ** red / lam, Nprime):
-                poly = prod((P ** (v // red) for P, v in zip(Ps, exps)),
-                            start=FqPoly.const(ctx, one))
-                return _radical_gen(o, lam0, render_poly(poly))
-    poly = prod((P ** v for P, v in zip(Ps, exps)), start=FqPoly.const(ctx, one))
-    return _radical_gen(Nprime, lam, render_poly(poly), degree=o)
+    for i in range(1, q):
+        lam0 = ctx.from_int(i)
+        if is_eth_power(lam0 ** red / lam, Nprime):
+            poly = prod((P ** (v // red) for P, v in zip(Ps, exps)),
+                        start=FqPoly.const(ctx, one))
+            return _radical_gen(o, lam0, render_poly(poly))
+    raise AssertionError(f"no unit lam0 puts the lattice element {x} in {o}-th root form")
 
 
 # -- wild part --

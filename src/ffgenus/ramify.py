@@ -3,8 +3,9 @@
 A radical extension K = k((gamma*D)^(1/n)) with p not dividing n is tame
 everywhere, and its ramification is determined by elementary gcd data:
 e at a finite prime P | D is n/gcd(v_P(D), n), e at the infinite prime is
-n/gcd(deg D, n), and the residue behaviour at infinity is read off the
-factorization of X^d - gamma over the constant field. The constant field
+n/gcd(deg D, n), and the residue degrees at infinity are the orbit
+sizes of Frobenius on the d-th roots of gamma, an integer count on their
+discrete logs with nothing factored. The constant field
 of K is F_{q^lcm(s, g)} with g = gcd(n, alpha_1, ..., alpha_k) over the
 exponents of D (Kummer theory over the algebraic closure of F_q), so K
 is geometric exactly when s = g = 1. Everything here is also exposed for
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
 from .ffpoly import (
     MAX_POLY_DEG,
@@ -25,7 +26,6 @@ from .ffpoly import (
     MAX_TOWER_DEG,
     DomainError,
     FqElem,
-    FqPoly,
     factor,
     factor_int,
     is_eth_power,
@@ -111,31 +111,40 @@ def ram_infinity(K):
     return K.n // gcd(K.D.degree, K.n)
 
 
-def _infinity_factorization(gamma, d, s):
-    """X^d - gamma factored over F_q, and the residue degrees t at infinity, ascending.
+def _infinity_degrees(gamma, d, s):
+    """The residue degrees t over F_q of the infinite primes, ascending.
 
-    A factor of degree f splits over F_{q^s} into gcd(f, s) factors of degree
-    f/gcd(f, s) (Lidl-Niederreiter, Thm 3.46), one per infinite prime, t = lcm(f, s).
+    With l the discrete log of gamma, N = d(q - 1) and omega of order N with
+    omega^d = g, the roots of X^d - gamma are the omega^j, j = l + k(q - 1)
+    for k < d. Each orbit of j -> j q^s mod N is one infinite prime over
+    F_{q^s}(T), with t = s * (orbit size).
     """
     ctx = gamma.ctx
     if s * ctx.mtot > MAX_TOWER_DEG:
         raise DomainError(
             f"extension degree {s * ctx.mtot} over F_{ctx.p} exceeds cap {MAX_TOWER_DEG}")
-    if d > MAX_POLY_DEG:  # factor's own cap, checked before X^d is multiplied out
+    if d > MAX_POLY_DEG:  # genus factors X^d - gamma, under factor's cap
         raise DomainError(f"degree {d} exceeds cap {MAX_POLY_DEG}")
-    fac = factor(FqPoly.x(ctx) ** d - FqPoly.const(ctx, gamma))
-    if any(mult > 1 for _, mult in fac.factors):
-        raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
-    factors = tuple(h for h, _ in fac.factors)
-    return factors, sorted(lcm(h.degree, s) for h in factors for _ in range(gcd(h.degree, s)))
+    n = ctx.q - 1
+    N = d * n
+    qs = pow(ctx.q, s, N)
+    seen, ts = set(), []
+    for j in range(ctx.dlog(gamma), N, n):
+        size = 0
+        while j not in seen:
+            seen.add(j)
+            size, j = size + 1, j * qs % N
+        if size:
+            ts.append(s * size)
+    return sorted(ts)
 
 
 def t0_radical(gamma, d, s=1):
     """gcd of the constant-field degrees of the d-th roots of gamma.
 
-    Each irreducible factor of X^d - gamma over F_q of degree f has roots
-    generating F_{q^f}, which with F_{q^s} adjoined is F_{q^lcm(f, s)};
-    t_0 is the gcd of those degrees lcm(f, s) over F_q.
+    A root omega^j generates F_{q^t} over F_q once F_{q^s} is adjoined, t the
+    residue degree of its orbit (_infinity_degrees); t_0 is the gcd of those
+    t. gamma must lie in a flat context, which has discrete logs.
     """
     if gamma.is_zero():
         raise DomainError("gamma must be nonzero")
@@ -143,7 +152,7 @@ def t0_radical(gamma, d, s=1):
         raise DomainError("d and s must be positive")
     if d % gamma.ctx.p == 0:
         raise DomainError("d must be prime to the characteristic")
-    return reduce(gcd, _infinity_factorization(gamma, d, s)[1])
+    return reduce(gcd, _infinity_degrees(gamma, d, s))
 
 
 class FinitePlace(namedtuple("FinitePlace", "deg e_list e_P u_P e0 P", defaults=(None,))):
@@ -159,8 +168,8 @@ class FinitePlace(namedtuple("FinitePlace", "deg e_list e_P u_P e0 P", defaults=
 
 class RamificationProfile(namedtuple(
         "RamificationProfile",
-        "q p s finite infinity e_inf t0 geometric radical infinity_factors",
-        defaults=(None, ()))):
+        "q p s finite infinity e_inf t0 geometric radical",
+        defaults=(None,))):
     """Per-place ramification data of some separable K/k.
 
     finite lists only places with a ramified prime above them; infinity
@@ -168,9 +177,8 @@ class RamificationProfile(namedtuple(
     F_q is the full constant field of K: for a radical profile it is
     exact, s == 1 and gcd(n, alpha_1, ..., alpha_k) == 1; an abstract
     profile keeps the flag its JSON gives, or None. For a radical
-    profile, infinity_factors holds the irreducible factors of X^d - gamma
-    over F_q that the infinity pairs were read from: one of degree f stands
-    for gcd(f, s) infinite primes, each with t = lcm(f, s).
+    profile the t of the infinity pairs are Frobenius orbit sizes on the
+    d-th roots of gamma (_infinity_degrees), and radical is the datum K.
     """
 
     __slots__ = ()
@@ -180,14 +188,12 @@ def build_profile(K):
     """Full ramification profile of a radical extension."""
     finite = tuple(FinitePlace(P.degree, (e,), e, 0, e, P) for P, e in ram_finite(K))
     e_inf = ram_infinity(K)
-    factors, ts = _infinity_factorization(K.gamma, K.n // e_inf, K.s)
-    infinity = tuple((e_inf, t) for t in ts)
+    infinity = tuple((e_inf, t) for t in _infinity_degrees(K.gamma, K.n // e_inf, K.s))
     t0 = reduce(gcd, (t for _, t in infinity))
     g = reduce(gcd, (a for _, a in K.D_factors.factors), K.n)
     return RamificationProfile(
         q=K.ctx.q, p=K.ctx.p, s=K.s, finite=finite, infinity=infinity,
-        e_inf=e_inf, t0=t0, geometric=K.s == 1 and g == 1, radical=K,
-        infinity_factors=factors)
+        e_inf=e_inf, t0=t0, geometric=K.s == 1 and g == 1, radical=K)
 
 
 def profile_from_dict(data):

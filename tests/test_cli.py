@@ -165,10 +165,15 @@ def test_base_constants_end_fast(argv, code, line):
     ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
     ["factor", "--field", "65521", "--poly", "T^64+T+1"],
     ["factor", "--field", "2^16", "--poly", "T^64+T+g"],
+    # d = gcd(deg D, n) at the cap: the infinite primes are Frobenius orbits on
+    # the d-th roots of gamma, counted on integers; X^d - gamma is not factored
+    ["analyze", "--field", "65521", "--n", "64", "--gamma", "3", "--poly", "T^63*(T+1)"],
+    ["analyze", "--field", "2^16", "--n", "63", "--gamma", "g", "--poly", "T^62*(T+1)"],
 ], ids=["carlitz-2-T^20", "carlitz-3-T^12", "phi-3^10", "genus-25-n24",
         "oracle-verify-17-n16", "oracle-verify-32-n9", "oracle-verify-81",
         "oracle-verify-3-n1e8", "oracle-verify-3-n1e21",
-        "factor-3^10-deg64", "factor-65521-deg64", "factor-2^16-deg64"])
+        "factor-3^10-deg64", "factor-65521-deg64", "factor-2^16-deg64",
+        "analyze-65521-d64", "analyze-2^16-d63"])
 def test_valid_inputs_at_a_cap_end_within_budget(argv):
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)

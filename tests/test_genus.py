@@ -6,17 +6,19 @@ import random
 import subprocess
 import sys
 import warnings
+from functools import reduce
 from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffgenus import carlitz, ffpoly
+from ffgenus import carlitz, ffpoly, ramify
 from ffgenus.ffpoly import (
     DomainError,
     Factorization,
     FqPoly,
+    factor,
     is_irreducible,
     make_context,
     monic_polys,
@@ -26,6 +28,7 @@ from ffgenus.ffpoly import (
 from ffgenus.genus import (
     _constants_collapse,
     _infinity_residue_data,
+    _reduce_generator,
     _root_splits,
     _split_generators,
     build_F0,
@@ -184,7 +187,7 @@ def test_base_constants_build_no_tower_over_a_tower(monkeypatch):
             genus_report(K)
             d = gcd(K.D.degree, n)
             assert t0_radical(K.gamma, d, s) == prof.t0
-            degrees = {h.degree for h in prof.infinity_factors}
+            degrees = {top.mtot // K.ctx.mtot for top, _, _ in _infinity_residue_data(prof)[2]}
             assert all(ctx.base is None and r in degrees for ctx, r in calls), (K, calls)
 
 
@@ -222,6 +225,9 @@ def test_splits_tenth_root_example():
 def _orbit_model(q, s, d, l):
     """Infinite primes of K over F_{q^s}(T) from integers alone.
 
+    build_profile counts the same orbits, so its t are checked against the
+    factoring rule; this model supplies the j of each orbit to the split tests.
+
     With N = d(q-1) and omega of order N with omega^d = g, the roots of
     X^d - g^l are the omega^j, j = l + k(q-1). Returns N and one (j, t) per
     orbit of j -> j q^s mod N, with t = s * (orbit size) the residue degree.
@@ -239,6 +245,22 @@ def _orbit_model(q, s, d, l):
             size, x = size + 1, x * qs % N
         orbits.append((j, s * size))
     return N, orbits
+
+
+def _factor_degrees(gamma, d):
+    """Degrees of the irreducible factors of X^d - gamma over F_q, by factoring."""
+    ctx = gamma.ctx
+    return [h.degree for h, _ in factor(FqPoly.x(ctx) ** d - FqPoly.const(ctx, gamma)).factors]
+
+
+def _factoring_rule(gamma, d, s):
+    """Residue degrees at infinity by the factoring rule, ascending.
+
+    A factor of X^d - gamma over F_q of degree f splits over F_{q^s} into
+    gcd(f, s) factors (Lidl-Niederreiter, Thm 3.46): gcd(f, s) infinite
+    primes, each with t = lcm(f, s).
+    """
+    return sorted(lcm(f, s) for f in _factor_degrees(gamma, d) for _ in range(gcd(f, s)))
 
 
 def test_infinity_data_matches_integer_orbit_model():
@@ -260,17 +282,18 @@ def test_infinity_data_matches_integer_orbit_model():
     for q, p, m, s, d, e, l in cases:
         ctx = make_context(p, m)
         D = FqPoly.x(ctx) * parse_poly(ctx, "T+1") ** (d - 1)
-        prof = build_profile(radical_extension(ctx, d * e, ctx.generator ** l, D, s))
+        gamma = ctx.generator ** l
+        prof = build_profile(radical_extension(ctx, d * e, gamma, D, s))
         N, orbits = _orbit_model(q, s, d, l)
-        assert sorted(t for _, t in prof.infinity) == sorted(t for _, t in orbits), prof
+        ts = _factoring_rule(gamma, d, s)
+        assert sorted(t for _, t in prof.infinity) == sorted(t for _, t in orbits) == ts, prof
         # the residue data factors over F_{q^f}: keep it to small fields
-        if q ** max(h.degree for h in prof.infinity_factors) > 1 << 12:
+        if q ** max(_factor_degrees(gamma, d)) > 1 << 12:
             continue
         residues = _infinity_residue_data(prof)
         _, a, data = residues
         # a factor of degree f over F_q stands for gcd(f, s) infinite primes
-        primes = [entry for h, entry in zip(prof.infinity_factors, data)
-                  for _ in range(gcd(h.degree, s))]
+        primes = [entry for entry in data for _ in range(gcd(entry[0].mtot // m, s))]
         for _ in range(20):
             eps, lu, deg = rng.randrange(1, 2 * q), rng.randrange(q - 1), rng.randrange(3 * d * e)
             u = ctx.generator ** lu
@@ -286,6 +309,73 @@ def test_infinity_data_matches_integer_orbit_model():
         seen.add((s > 1, m > 1, e > 1))
     assert outcomes == {True, False}
     assert {(True, True, False), (True, False, True), (False, True, True)} <= seen
+
+
+def test_orbit_count_matches_the_factoring_rule_on_large_fields():
+    # K = k((gamma * T * (T+1)^(d-1))^(1/de)): gcd(deg D, n) = d, and the exponent 1
+    # of T keeps X^n - gamma*D irreducible for every gamma
+    rng = random.Random(20261019)
+    fields = [(2, 1), (2, 2), (3, 2), (5, 2), (3, 5), (2, 8), (65521, 1), (2, 16)]
+    t_values = set()
+    for p, m in fields:
+        ctx = make_context(p, m)
+        for _ in range(8):
+            s = rng.randrange(1, 5)
+            d = rng.choice([x for x in range(1, 17) if x % p])
+            e = rng.choice([x for x in (1, 2, 3) if x % p and d * x > 1])
+            gamma = ctx.from_int(rng.randrange(1, ctx.q))
+            D = FqPoly.x(ctx) * parse_poly(ctx, "T+1") ** (d - 1)
+            prof = build_profile(radical_extension(ctx, d * e, gamma, D, s))
+            ts = _factoring_rule(gamma, d, s)
+            assert sorted(t for _, t in prof.infinity) == ts, (ctx, s, d, gamma)
+            assert t0_radical(gamma, d, s) == prof.t0 == reduce(gcd, ts)
+            t_values.update(t // s for t in ts)
+    assert len(t_values) >= 5
+
+
+def test_infinite_primes_need_no_factoring(monkeypatch):
+    # over F_8, X^5 - g has a quartic factor, which splits in two over F_64;
+    # over F_65521, X^64 - 3 has four factors of degree 16
+    cases = [(K_of(2, 3, 5, 2, "T*(T+1)^4", 2), 5, [2, 4, 4]),
+             (K_of(65521, 1, 64, 3, "T^63*(T+1)"), 64, [16] * 4)]
+
+    def refuse(f):
+        raise AssertionError("ramify factored a polynomial")
+
+    monkeypatch.setattr(ramify, "factor", refuse)
+    for K, d, ts in cases:
+        prof = build_profile(K)
+        assert [t for _, t in prof.infinity] == ts
+        assert t0_radical(K.gamma, d, K.s) == prof.t0 == min(ts)
+
+
+@pytest.mark.parametrize("p, m, cs", [
+    (7, 1, (6, 3, 2)),  # (q - 1)/N' = 1 is odd: -1 has order 2 modulo 6th powers
+    (13, 1, (3, 3, 3)),  # (q - 1)/N' = 4 is even: -1 is a cube
+    (2, 3, (7, 7)),
+])
+def test_reduce_generator_reaches_lowest_form_on_every_lattice_element(p, m, cs):
+    ctx = make_context(p, m)
+    q, Nprime = ctx.q, reduce(lcm, cs)
+    quadratic = next(P for P in monic_polys(ctx, 2) if is_irreducible(P))
+    Ps = [FqPoly.x(ctx), parse_poly(ctx, "T+1"), quadratic][-len(cs):]
+    mus = [Nprime // c for c in cs]
+    units = [ctx.from_int(i) for i in range(1, q)]
+    powers = {y ** Nprime for y in units}
+    one = FqPoly.const(ctx, ctx.one())
+    for x in itertools.product(*(range(c) for c in cs)):
+        exps = [xi * mu for xi, mu in zip(x, mus)]
+        lam = (-ctx.one()) ** sum(P.degree * v for P, v in zip(Ps, exps))
+        # the order of the class of w = lam * prod P_i^(v_i) modulo N'-th powers of k*
+        order = next(k for k in range(1, Nprime + 1)
+                     if lam ** k in powers and all(k * v % Nprime == 0 for v in exps))
+        gen = _reduce_generator(ctx, x, Ps, mus, Nprime)
+        assert gen.e == order, x
+        # gen^(N'/e) is w times an N'-th power
+        red = Nprime // order
+        assert parse_element(ctx, gen.unit) ** red / lam in powers
+        want = prod((P ** (v // red) for P, v in zip(Ps, exps)), start=one)
+        assert parse_poly(ctx, gen.poly) == want
 
 
 # -- maximal fully split subfield --
@@ -855,7 +945,7 @@ def test_random_report_invariants_over_larger_fields():
                 if q ** P.degree <= 81:
                     assert splitting_at_finite(K, P) == (ram[P], ())
         checked += 1
-        towers += any(h.degree > 1 for h in prof.infinity_factors)
+        towers += any(top is not ctx for top, _, _ in _infinity_residue_data(prof)[2])
     assert towers >= 20
 
 
