@@ -107,13 +107,14 @@ def cmd_carlitz(args):
     return {"coeffs": coeffs}, text, 0
 
 
+# analyze renders radical profiles only: their places are tame and carry P
 def _profile_payload(profile):
     return {
         "q": profile.q,
         "s": profile.s,
         "finite": [
             {
-                "poly": render_poly(pl.P) if pl.P is not None else None,
+                "poly": render_poly(pl.P),
                 "deg": pl.deg,
                 "e": list(pl.e_list),
                 "e_P": pl.e_P,
@@ -134,9 +135,7 @@ def _profile_text(profile):
     if profile.finite:
         lines.append("ramified finite places:")
         for pl in profile.finite:
-            name = render_poly(pl.P) if pl.P is not None else f"<degree {pl.deg}>"
-            detail = f"e = {pl.e_P}" + (f" (p^{pl.u_P} * {pl.e0})" if pl.u_P else "")
-            lines.append(f"  {name}: {detail}")
+            lines.append(f"  {render_poly(pl.P)}: e = {pl.e_P}")
     else:
         lines.append("ramified finite places: none")
     for e, t in profile.infinity:

@@ -73,8 +73,8 @@ class FqElem:
     """Element of a flat context: its canonical index, one int 0 <= v < q.
 
     The index lists the coefficients of the element over F_p in base p,
-    lowest degree first (the `from_int` order), so `to_int` is the
-    identity. Products, quotients, inverses and powers are index
+    lowest degree first (the `from_int` order), so `elem_to_int` is
+    the identity. Products, quotients, inverses and powers are index
     arithmetic on the context's exp/log tables; sums use a Zech-logarithm
     table. Fields of characteristic 2 add by XOR (`_BinaryElem`), prime
     fields add and multiply mod p (`_PrimeElem`), and tower contexts keep
@@ -157,9 +157,6 @@ class FqElem:
 
     def is_zero(self):
         return not self.v
-
-    def to_int(self):
-        return self.ctx.elem_to_int(self)
 
     def multiplicative_order(self):
         n = self.ctx._n
@@ -663,7 +660,7 @@ class FqPoly:
         return FqPoly(self.ctx, tuple(out))
 
     def sort_key(self):
-        return (self.degree, tuple(c.to_int() for c in self.coeffs))
+        return (self.degree, tuple(map(self.ctx.elem_to_int, self.coeffs)))
 
     def __repr__(self):
         if self.ctx.base is not None:  # tower constants have no g^k name

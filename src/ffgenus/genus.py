@@ -33,6 +33,7 @@ from .ffpoly import (
     factor,
     factor_int,
     is_eth_power,
+    power_exceeds,
     render_element,
     render_poly,
 )
@@ -119,6 +120,9 @@ class FieldExpr(namedtuple("FieldExpr", "q radicals cyclo opaque constants_deg")
         body = " * ".join(parts)
         if self.constants_deg is None:
             return body + f" * F_{self.q}^u (u unknown)"
+        if power_exceeds(self.q, self.constants_deg, MAX_Q ** MAX_POLY_DEG):
+            # above any abstract profile's q^t; a radical report's can pass the digits str() takes
+            return body + f" * F_{self.q}^{self.constants_deg}"
         if self.constants_deg > 1:
             return body + f" * F_{self.q ** self.constants_deg}"
         return body
@@ -155,6 +159,12 @@ def _radical_gen(e, unit, poly):
     else:
         sign = 0
     return RadicalGen(e, render_element(unit), sign, poly)
+
+
+def _sign(ctx, k):
+    """(-1)^k in ctx: the sign that the normalization rho_T = X^q + TX gives
+    the radical of a polynomial of degree k."""
+    return -ctx.one() if k % 2 else ctx.one()
 
 
 # -- per-place components --
@@ -230,7 +240,7 @@ def build_F0(profile):
         gen = None
         if c > 1:
             if poly is not None and (q - 1) % c == 0:
-                gen = _radical_gen(c, (-pl.P.ctx.one()) ** pl.deg, poly)
+                gen = _radical_gen(c, _sign(pl.P.ctx, pl.deg), poly)
             else:
                 gen = CycloGen(poly, pl.deg, c)
         places.append(PlaceComponent(poly, pl.deg, pl.e_P, pl.e0, pl.u_P, c, e_inf_fp, gen))
@@ -363,9 +373,8 @@ def find_F(profile, comps):
     mus = [Nprime // c for c in cs]
     ws = [pl.deg * m for pl, m in zip(ram, mus)]
     residues = _infinity_residue_data(profile)
-    one, minus = K.ctx.one(), -K.ctx.one()
     for h in _divisors(Nprime):  # ascending, and the class of N' always splits
-        if _root_splits(residues, Nprime, minus if h % 2 else one, h):
+        if _root_splits(residues, Nprime, _sign(K.ctx, h), h):
             break
     g = gcd(Nprime, *ws)
     # |G| = |plus| * c_inf with |plus| = |G| * g/N' recomputes c_inf = [F_0 : F_0 meet R+]
@@ -406,7 +415,7 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
     exps = [xi * m for xi, m in zip(x, mus)]
     dw = sum(P.degree * v for P, v in zip(Ps, exps))
     one = ctx.one()
-    lam = -one if dw % 2 else one
+    lam = _sign(ctx, dw)
     o_val = reduce(lcm, (Nprime // gcd(Nprime, v) for v in exps if v), 1)
     lam_ord = 1 if lam == one else 2
     o_lam = lam_ord // gcd(lam_ord, (q - 1) // Nprime)
@@ -432,13 +441,15 @@ class WildBounds(namedtuple(
     Each wild place P with e_P = p^{u_P} * e0 contributes a cyclic p-piece
     of degree at most p^{u_P}; when no wild place exists and the infinite
     prime is tame, the whole wild part is an extension of constants.
+    wild_places holds (deg P, u_P) per wild place. Only abstract profiles
+    have wild places (a radical n is prime to p), and they carry no P.
     """
 
     __slots__ = ()
 
     def json(self):
-        return {"wild_places": [{"poly": poly, "deg": deg, "u": u}
-                                for poly, deg, u in self.wild_places],
+        return {"wild_places": [{"poly": None, "deg": deg, "u": u}
+                                for deg, u in self.wild_places],
                 "finite_wild_degree_bound": self.finite_wild_degree_bound,
                 "has_infinite_component": self.has_infinite_component,
                 "tame_case_constants_only": self.tame_case_constants_only}
@@ -446,10 +457,9 @@ class WildBounds(namedtuple(
 
 def wild_bounds(profile):
     """Wild-part bounds of a profile; trivial for radical (tame) input."""
-    wp = tuple((render_poly(pl.P) if pl.P is not None else None, pl.deg, pl.u_P)
-               for pl in profile.finite if pl.u_P > 0)
+    wp = tuple((pl.deg, pl.u_P) for pl in profile.finite if pl.u_P > 0)
     inf_wild = profile.e_inf % profile.p == 0
-    return WildBounds(wp, profile.p ** sum(u for _, _, u in wp), inf_wild,
+    return WildBounds(wp, profile.p ** sum(u for _, u in wp), inf_wild,
                       not wp and not inf_wild)
 
 
@@ -627,16 +637,14 @@ def prime_power_case(K):
     dprime = tuple(p_adic_val(l, P.degree) for P, _ in fac)
     d = min(nu, p_adic_val(l, K.D.degree))
     delta = min(min(nu, ai + dpi) for ai, dpi in zip(a, dprime))
-    beta = K.gamma if K.D.degree % 2 == 0 else -K.gamma
+    beta = _sign(K.ctx, K.D.degree) * K.gamma
     m = 0
     while not is_eth_power(beta, l ** d, l ** m):
         m += 1
         if m > d:  # the l^d-th roots of beta lie in F_{q^(l^d)}
             raise AssertionError(f"t0 exponent m = {m} exceeds d = {d}")
-    gens = []
-    for (P, _), ai in zip(fac, a):
-        sign = (-K.ctx.one()) ** P.degree
-        gens.append(_radical_gen(l ** (nu - ai), sign, render_poly(P)))
+    gens = [_radical_gen(l ** (nu - ai), _sign(K.ctx, P.degree), render_poly(P))
+            for (P, _), ai in zip(fac, a)]
     return PrimePowerProfile(
         l=l, nu=nu, a=a, dprime=dprime, d=d, delta=delta, m=m,
         e_inf=l ** (nu - d), c_inf=l ** (nu - delta),
@@ -703,8 +711,7 @@ def render_report(report):
     else:
         lines.append("CONJECTURE: unavailable (F undetermined)")
     if not report.wild.tame_case_constants_only:
-        wp = ", ".join(f"{poly if poly is not None else f'deg {deg}'}: p^{u}"
-                       for poly, deg, u in report.wild.wild_places)
+        wp = ", ".join(f"deg {deg}: p^{u}" for deg, u in report.wild.wild_places)
         lines.append(f"wild bounds: finite <= {report.wild.finite_wild_degree_bound}"
                      f" [{wp}]" + (", infinite component possible"
                                    if report.wild.has_infinite_component else ""))

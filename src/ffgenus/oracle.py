@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
-from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power, power_exceeds
+from .ffpoly import DomainError, Factorization, FqPoly, _power, is_eth_power, power_exceeds
 from .genus import (
     _bound_only,
     _infinity_residue_data,
@@ -235,18 +235,6 @@ def _xdict_mul(F, a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _xdict_pow(F, a, e):
-    result = None
-    base = a
-    while e:
-        if e & 1:
-            result = base if result is None else _xdict_mul(F, result, base)
-        e >>= 1
-        if e:
-            base = _xdict_mul(F, base, base)
-    return result
-
-
 @lru_cache(maxsize=128)
 def _qpow_chain(N):
     """[rho_N(X)^(q^j) for j = 0, 1, ...], which carlitz_compose_check extends.
@@ -283,7 +271,7 @@ def carlitz_compose_check(M, N):
         if len(chain) == j:
             power = chain[-1]
             for _ in range(ctx.mtot):
-                power = _xdict_pow(F, power, ctx.p)
+                power = _power(power, ctx.p, {0: (1,)}, lambda a, b: _xdict_mul(F, a, b))
             chain.append(power)
         a = rho_m.get(ctx.q ** j)
         if a is None:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ffgenus import ffpoly, oracle
 from ffgenus.cli import main
 
 EX51 = ["genus", "--field", "3", "--n", "2", "--gamma", "1",
@@ -423,6 +424,56 @@ def test_cli_golden_output(capsys, case):
     code = main(case["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["code"], case["stdout"], case.get("stderr", ""))
+
+
+WORK_COUNTS = Path(__file__).parent / "data" / "work_counts.json"
+COUNTED_FUNCTIONS = ("powmod", "factor", "make_context", "is_eth_power")
+COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "extension"))
+
+
+def golden_work_counts(monkeypatch):
+    """{golden id: {counted name: calls}}, the goldens run in file order.
+
+    Every binding of a counted function in an ffgenus module and every
+    counted method is replaced by a counter, as the benchmark's tracer does.
+    The run starts from an empty context cache and empty oracle caches, so
+    the counts do not depend on what ran before in the same process.
+    """
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("ffgenus.")]
+    for name in COUNTED_FUNCTIONS:
+        fn = getattr(ffpoly, name)
+        counted = counting(name, fn)
+        for mod in modules:
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    for cls, name in COUNTED_METHODS:
+        owner = getattr(ffpoly, cls)
+        monkeypatch.setattr(owner, name, counting(f"{cls}.{name}", getattr(owner, name)))
+    monkeypatch.setattr(ffpoly, "_CTX_CACHE", {})
+    oracle._field.cache_clear()
+    oracle._qpow_chain.cache_clear()
+    names = [f"{cls}.{name}" for cls, name in COUNTED_METHODS] + list(COUNTED_FUNCTIONS)
+    table = {}
+    for gid, case in zip(_golden_ids(GOLDENS), GOLDENS):
+        calls.update(dict.fromkeys(names, 0))
+        main(case["argv"])
+        table[gid] = dict(calls)
+    return table
+
+
+def test_golden_work_counts_match_the_pinned_table(monkeypatch, capsys):
+    """The kernel calls each golden makes are pinned: a change that alters
+    them regenerates tests/data/work_counts.json and says which rows moved
+    and why. The counts do not depend on PYTHONHASHSEED."""
+    assert golden_work_counts(monkeypatch) == json.loads(WORK_COUNTS.read_text())
 
 
 @pytest.mark.parametrize("field", ["16", "27", "32", "49"])

@@ -577,7 +577,8 @@ def test_wild_bounds_with_wild_places():
                               "infinity": [{"e": 3, "t": 1}]})
     wb = wild_bounds(prof)
     assert not wb.tame_case_constants_only
-    assert wb.wild_places == ((None, 1, 2),)
+    assert wb.wild_places == ((1, 2),)
+    assert wb.json()["wild_places"] == [{"poly": None, "deg": 1, "u": 2}]
     assert wb.finite_wild_degree_bound == 9
     assert wb.has_infinite_component
 
@@ -693,6 +694,14 @@ def test_report_lower_constants_degree_is_t0():
                  (5, 1, 8, 1, "T"), (3, 1, 8, 2, "T^2+T")]:
         r = genus_report(K_of(*args))
         assert r.lower.constants_deg == r.t0
+
+
+def test_constants_past_the_abstract_cap_render_as_a_power():
+    # t0 = lcm(15, 64) = 960 over F_65521: q^t0 has more digits than str() converts
+    assert field_expr(65521, (), 960).render() == "k * F_65521^960"
+    # 2^1024 = MAX_Q^MAX_POLY_DEG, the largest q^t of an abstract profile, keeps its integer
+    assert field_expr(2 ** 16, (), 64).render() == f"k * F_{2 ** 1024}"
+    assert field_expr(2, (), 1025).render() == "k * F_2^1025"
 
 
 def test_report_json_schema_and_byte_stability():

@@ -297,7 +297,7 @@ def test_profile_invariants_random():
         for e, t in prof.infinity:
             assert e == prof.e_inf and t % prof.t0 == 0
         for f in prof.finite:
-            assert f.u_P == 0 and f.e0 == f.e_P > 1
+            assert f.u_P == 0 and f.e0 == f.e_P > 1 and f.P is not None
         assert prof.t0 == t0_radical(gamma, gcd(D.degree, n), K.s)
 
 
