@@ -69,18 +69,22 @@ class SubfieldFP(namedtuple("SubfieldFP", "P c e_inf")):
     __slots__ = ()
 
 
-def subfield_FP(P, c):
-    """Descriptor of the degree-c subfield of k(Lambda_P), with its e at infinity.
+def e_inf_FP(q, deg, c):
+    """Ramification index of the infinite prime in the degree-c subfield of
+    k(Lambda_P), deg P = deg and c | q^deg - 1.
 
-    Gal(k(Lambda_P)/k) is cyclic of order q^d - 1 and the inertia group of
+    Gal(k(Lambda_P)/k) is cyclic of order q^deg - 1 and the inertia group of
     P_inf is the image of F_q*, so in the degree-c quotient the inertia
-    image has order (q-1)/gcd(q-1, (q^d-1)/c).
+    image has order (q - 1)/gcd(q - 1, (q^deg - 1)/c).
     """
+    return (q - 1) // gcd(q - 1, (q ** deg - 1) // c)
+
+
+def subfield_FP(P, c):
+    """Descriptor of the degree-c subfield of k(Lambda_P), with its e at infinity."""
     if P.degree < 1 or not P.is_monic or not is_irreducible(P):
         raise DomainError("subfield_FP needs a monic irreducible P")
-    q = P.ctx.q
-    full = q ** P.degree - 1
+    full = P.ctx.q ** P.degree - 1
     if c < 1 or full % c:
         raise DomainError(f"c = {c} does not divide q^deg P - 1 = {full}")
-    e_inf = (q - 1) // gcd(q - 1, full // c)
-    return SubfieldFP(P, c, e_inf)
+    return SubfieldFP(P, c, e_inf_FP(P.ctx.q, P.degree, c))

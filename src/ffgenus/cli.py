@@ -161,6 +161,8 @@ def _load_profile(path):
         raise DomainError(f"cannot read profile file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise DomainError(f"profile file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DomainError("profile file nests too deeply to read") from None
     return profile_from_dict(data)
 
 

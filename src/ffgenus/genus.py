@@ -25,6 +25,7 @@ from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm, prod
 
+from .carlitz import e_inf_FP
 from .ffpoly import (
     MAX_POLY_DEG,
     MAX_Q,
@@ -228,14 +229,13 @@ def build_F0(profile):
     c_P is insensitive to the p-part of e_P); the wild data itself is
     reported separately by wild_bounds. e_inf_FP is the order of the image
     of the inertia group F_q* at infinity in the degree-c_P quotient of the
-    cyclic Gal(k(Lambda_P)/k), as in carlitz.subfield_FP.
+    cyclic Gal(k(Lambda_P)/k) (carlitz.e_inf_FP).
     """
     q = profile.q
     places = []
     gens = []
     for pl in profile.finite:
         c = c_P(q, pl.e_P, pl.deg)
-        e_inf_fp = (q - 1) // gcd(q - 1, (q ** pl.deg - 1) // c)
         poly = render_poly(pl.P) if pl.P is not None else None
         gen = None
         if c > 1:
@@ -243,7 +243,8 @@ def build_F0(profile):
                 gen = _radical_gen(c, _sign(pl.P.ctx, pl.deg), poly)
             else:
                 gen = CycloGen(poly, pl.deg, c)
-        places.append(PlaceComponent(poly, pl.deg, pl.e_P, pl.e0, pl.u_P, c, e_inf_fp, gen))
+        places.append(PlaceComponent(poly, pl.deg, pl.e_P, pl.e0, pl.u_P, c,
+                                     e_inf_FP(q, pl.deg, c), gen))
         if gen is not None:
             gens.append(gen)
     c_inf = reduce(lcm, (pl.e_inf_FP for pl in places), 1)
@@ -263,8 +264,8 @@ def build_F0(profile):
 def _infinity_residue_data(profile):
     """Residue-field models of the completions of K at its infinite primes.
 
-    With d = gcd(deg D, n), e = n/d, m' = deg D/d and y the defining root of
-    K = profile.radical, the unit z = y^e/T^{m'} satisfies
+    With e = profile.e_inf = n/gcd(deg D, n), d = n/e, m' = deg D/d and y
+    the defining root of K = profile.radical, the unit z = y^e/T^{m'} satisfies
     z^d = gamma * D/T^{deg D}, so its residue r is a root of X^d - gamma,
     and T = z^a * pi^{-e} for any uniformizer pi = y^a/T^c with
     c*e - a*m' = 1. Returns (e, a, data), data holding for each factor of
@@ -273,8 +274,8 @@ def _infinity_residue_data(profile):
     (Lidl-Niederreiter, Thm 3.46).
     """
     K = profile.radical
-    d = gcd(K.D.degree, K.n)
-    e = K.n // d
+    e = profile.e_inf
+    d = K.n // e
     mprime = K.D.degree // d
     a = (-pow(mprime, -1, e)) % e if e > 1 else 0
     fac = factor(FqPoly.x(K.ctx) ** d - FqPoly.const(K.ctx, K.gamma))

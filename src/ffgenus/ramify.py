@@ -55,11 +55,14 @@ class RadicalExtension(namedtuple("RadicalExtension", "ctx n gamma D D_factors s
 
 
 def radical_extension(ctx, n, gamma, D, s=1):
-    """Validated constructor; rejects wild n and reducible X^n - gamma*D."""
+    """Validated constructor; rejects wild n, s outside [1, MAX_TOWER_DEG]
+    (the bound of profile_from_dict) and reducible X^n - gamma*D."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     if not isinstance(s, int) or s < 1:
         raise DomainError("base constants degree s must be a positive integer")
+    if s > MAX_TOWER_DEG:
+        raise DomainError(f"base constants degree s = {s} exceeds cap {MAX_TOWER_DEG}")
     if n % ctx.p == 0:
         raise DomainError(f"wild case p | n is out of scope (p = {ctx.p}, n = {n})")
     if not isinstance(gamma, FqElem) or gamma.ctx is not ctx or gamma.is_zero():
@@ -120,9 +123,6 @@ def _infinity_degrees(gamma, d, s):
     F_{q^s}(T), with t = s * (orbit size).
     """
     ctx = gamma.ctx
-    if s * ctx.mtot > MAX_TOWER_DEG:
-        raise DomainError(
-            f"extension degree {s * ctx.mtot} over F_{ctx.p} exceeds cap {MAX_TOWER_DEG}")
     if d > MAX_POLY_DEG:  # genus factors X^d - gamma, under factor's cap
         raise DomainError(f"degree {d} exceeds cap {MAX_POLY_DEG}")
     n = ctx.q - 1
@@ -203,10 +203,12 @@ def profile_from_dict(data):
       {"q": int, "finite": [{"deg": int, "e": [int, ...]}, ...],
        "infinity": [{"e": int, "t": int}, ...], "s": int?, "geometric": bool?}
     with q a prime power up to MAX_Q, place degrees deg and t up to
-    MAX_POLY_DEG and s up to MAX_TOWER_DEG. Finite places where every
-    exponent is 1 are dropped. Any missing, non-integer or out-of-range
-    field is a DomainError: numbers are taken as they are, never rounded
-    or converted, and geometric must be true, false or null.
+    MAX_POLY_DEG, s up to MAX_TOWER_DEG and the e_P of the finite places
+    multiplying to at most MAX_Q^MAX_POLY_DEG, which bounds every number a
+    report derives from them (the wild bound, [F_0 meet R+ : k]). Finite
+    places where every exponent is 1 are dropped. Any missing, non-integer
+    or out-of-range field is a DomainError: numbers are taken as they are,
+    never rounded or converted, and geometric must be true, false or null.
     """
 
     def num(value):
@@ -232,12 +234,16 @@ def profile_from_dict(data):
     if not 1 <= s <= MAX_TOWER_DEG:
         raise DomainError(f"s = {s} outside [1, {MAX_TOWER_DEG}]")
     finite = []
+    e_prod = 1
     for entry, deg, e_list in finite_in:
         if not 1 <= deg <= MAX_POLY_DEG or not e_list or any(e < 1 for e in e_list):
             raise DomainError(f"bad finite place entry {entry!r}")
         if all(e == 1 for e in e_list):
             continue
         e_P = reduce(gcd, e_list)
+        e_prod *= e_P
+        if e_prod > MAX_Q ** MAX_POLY_DEG:
+            raise DomainError(f"the e_P of the finite places multiply past {MAX_Q}^{MAX_POLY_DEG}")
         u = p_adic_val(p, e_P)
         finite.append(FinitePlace(deg, e_list, e_P, u, e_P // p ** u))
     infinity = []

@@ -124,6 +124,7 @@ def test_base_constants_flag(capsys):
 
 
 F256 = ["--field", "2^8", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
+F65536 = ["--field", "2^16", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
 
 
 @pytest.mark.parametrize("argv,code,line", [
@@ -133,9 +134,12 @@ F256 = ["--field", "2^8", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
     (["analyze"] + F256 + ["--base-constants", "8"], 0, b"t0 = 24"),
     (["analyze", "--field", "3", "--n", "2", "--gamma", "1", "--poly", "T*(T+1)",
       "--base-constants", "64"], 0, b"t0 = 64"),
-    # s * m = 72 passes MAX_TOWER_DEG, as when F_{q^s} was built
-    (["genus"] + F256 + ["--base-constants", "9"], 1,
-     b"error: extension degree 72 over F_2 exceeds cap 64"),
+    # S * m = 72 and 1024 pass 64: S alone is capped, as in a profile's s
+    (["genus"] + F256 + ["--base-constants", "9"], 0, b"t0 = 9"),
+    (["analyze"] + F256 + ["--base-constants", "9"], 0, b"t0 = 9"),
+    (["genus"] + F65536 + ["--base-constants", "64"], 0, b"t0 = 192"),
+    (["genus"] + F256 + ["--base-constants", "65"], 1,
+     b"error: base constants degree s = 65 exceeds cap 64\n"),
 ])
 def test_base_constants_end_fast(argv, code, line):
     # F_{q^s} is never built: over F_256 this took 18.9 s (s = 4) and over a
@@ -144,7 +148,10 @@ def test_base_constants_end_fast(argv, code, line):
     proc = run_cli(argv, timeout=60)
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == code
-    assert line in (proc.stdout if code == 0 else proc.stderr)
+    if code == 0:
+        assert line + b"\n" in proc.stdout and proc.stderr == b""
+    else:
+        assert proc.stderr == line and proc.stdout == b""
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,15 +393,37 @@ def test_long_product_literal_ends_fast():
     {"q": 9, "s": 1000000000, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1}]},
     # truncating these to q = 9, deg = 2, e = 2 would give a report
     {"q": 9.7, "finite": [{"deg": 2.9, "e": [2.5]}], "infinity": [{"e": 1, "t": 1}]},
+    # the e_P multiply past 2^1024: the wild bound 2^28000, and [F_0 meet R+ : k]
+    # near 65521^1024, have more digits than str() takes
+    {"q": 2, "finite": [{"deg": 1, "e": [2 ** 14000]}] * 2, "infinity": [{"e": 1, "t": 1}]},
+    {"q": 65521, "finite": [{"deg": 64, "e": [65521 ** 64 - 1]}] * 16,
+     "infinity": [{"e": 1, "t": 1}]},
+    # raw text, nested past the JSON decoder's recursion limit
+    pytest.param("[" * 100000 + "]" * 100000, id="nested"),
 ])
 def test_malformed_profile_exits_1_with_one_error_line(tmp_path, profile):
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(profile))
-    proc = run_cli(["genus", "--profile", str(path)], timeout=5)
-    assert proc.returncode == 1
-    err = proc.stderr.decode()
-    assert err.count("error:") == 1 and err.count("\n") == 1
-    assert proc.stdout == b""
+    path.write_text(profile if isinstance(profile, str) else json.dumps(profile))
+    for fmt in ("text", "json"):
+        proc = run_cli(["genus", "--profile", str(path), "--format", fmt], timeout=5)
+        assert proc.returncode == 1
+        err = proc.stderr.decode()
+        assert err.startswith("error:") and err.count("error:") == 1, err
+        assert err.count("\n") == 1
+        assert proc.stdout == b""
+
+
+def test_profile_at_the_e_P_bound_reports(capsys, tmp_path):
+    # the e_P multiply to exactly 2^1024, and the wild bound prints all 309 digits
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"q": 2, "finite": [{"deg": 1, "e": [2 ** 1024]}],
+                                "infinity": [{"e": 1, "t": 1}]}))
+    code, out = run_main(capsys, ["genus", "--profile", str(path)])
+    assert code == 0
+    assert f"wild bounds: finite <= {2 ** 1024} [deg 1: p^1024]" in out
+    code, out = run_main(capsys, ["genus", "--profile", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["wild"]["finite_wild_degree_bound"] == 2 ** 1024
 
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
@@ -427,12 +456,20 @@ def test_cli_golden_output(capsys, case):
 
 
 WORK_COUNTS = Path(__file__).parent / "data" / "work_counts.json"
+# run after the goldens: a genus input whose residue tower F_{11^10} takes
+# seconds, the largest oracle-verify field and a degree-64 factor
+WORK_ROWS = {
+    "stall-genus-11-n10": ["genus", "--field", "11", "--n", "10", "--gamma", "2",
+                           "--poly", "T*(T+1)^9"],
+    "oracle-verify-81": ["oracle-verify", "--field", "81"],
+    "factor-3^10-deg64": ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
+}
 COUNTED_FUNCTIONS = ("powmod", "factor", "make_context", "is_eth_power")
 COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "extension"))
 
 
 def golden_work_counts(monkeypatch):
-    """{golden id: {counted name: calls}}, the goldens run in file order.
+    """{row id: {counted name: calls}}, the goldens run in file order, then WORK_ROWS.
 
     Every binding of a counted function in an ffgenus module and every
     counted method is replaced by a counter, as the benchmark's tracer does.
@@ -462,17 +499,19 @@ def golden_work_counts(monkeypatch):
     oracle._qpow_chain.cache_clear()
     names = [f"{cls}.{name}" for cls, name in COUNTED_METHODS] + list(COUNTED_FUNCTIONS)
     table = {}
-    for gid, case in zip(_golden_ids(GOLDENS), GOLDENS):
+    rows = list(zip(_golden_ids(GOLDENS), (case["argv"] for case in GOLDENS)))
+    for gid, argv in rows + list(WORK_ROWS.items()):
         calls.update(dict.fromkeys(names, 0))
-        main(case["argv"])
+        main(argv)
         table[gid] = dict(calls)
     return table
 
 
 def test_golden_work_counts_match_the_pinned_table(monkeypatch, capsys):
-    """The kernel calls each golden makes are pinned: a change that alters
-    them regenerates tests/data/work_counts.json and says which rows moved
-    and why. The counts do not depend on PYTHONHASHSEED."""
+    """The kernel calls of each golden and each WORK_ROWS input are pinned: a
+    change that alters them regenerates tests/data/work_counts.json and says
+    which rows moved and why. The counts do not depend on PYTHONHASHSEED or
+    on python -O."""
     assert golden_work_counts(monkeypatch) == json.loads(WORK_COUNTS.read_text())
 
 
@@ -520,7 +559,7 @@ _RADICAL = {
     "--base-constants": st.integers(1, 8).map(str),
 }
 _JSON_INTS = st.one_of(st.integers(-2, 30),
-                       st.sampled_from([65537, 10 ** 30, 2.5, "9", True, None]))
+                       st.sampled_from([65537, 10 ** 30, 2 ** 14000, 2.5, "9", True, None]))
 _PROFILES = st.one_of(
     st.fixed_dictionaries(
         {"q": st.one_of(st.sampled_from([2, 3, 4, 5, 9, 25, 27, 6, 1]), _JSON_INTS),
