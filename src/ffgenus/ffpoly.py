@@ -20,6 +20,9 @@ from math import gcd
 MAX_Q = 1 << 16
 MAX_TOWER_DEG = 64
 MAX_POLY_DEG = 64
+# 2^1024 bounds a residue degree t at infinity, s * MAX_POLY_DEG and the
+# product of a profile's e_P, so what a report derives from them stays printable
+MAX_REPORT_INT = MAX_Q ** MAX_POLY_DEG
 
 
 class DomainError(ValueError):

@@ -29,6 +29,7 @@ from .carlitz import e_inf_FP
 from .ffpoly import (
     MAX_POLY_DEG,
     MAX_Q,
+    MAX_REPORT_INT,
     DomainError,
     FqPoly,
     factor,
@@ -121,8 +122,9 @@ class FieldExpr(namedtuple("FieldExpr", "q radicals cyclo opaque constants_deg")
         body = " * ".join(parts)
         if self.constants_deg is None:
             return body + f" * F_{self.q}^u (u unknown)"
-        if power_exceeds(self.q, self.constants_deg, MAX_Q ** MAX_POLY_DEG):
-            # above any abstract profile's q^t; a radical report's can pass the digits str() takes
+        if power_exceeds(self.q, self.constants_deg, MAX_REPORT_INT):
+            # a radical report's or an abstract profile's q^t can pass 2^1024,
+            # and then have more digits than str() takes
             return body + f" * F_{self.q}^{self.constants_deg}"
         if self.constants_deg > 1:
             return body + f" * F_{self.q ** self.constants_deg}"

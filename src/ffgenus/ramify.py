@@ -23,7 +23,7 @@ from math import gcd
 from .ffpoly import (
     MAX_POLY_DEG,
     MAX_Q,
-    MAX_TOWER_DEG,
+    MAX_REPORT_INT,
     DomainError,
     FqElem,
     factor,
@@ -55,14 +55,20 @@ class RadicalExtension(namedtuple("RadicalExtension", "ctx n gamma D D_factors s
 
 
 def radical_extension(ctx, n, gamma, D, s=1):
-    """Validated constructor; rejects wild n, s outside [1, MAX_TOWER_DEG]
-    (the bound of profile_from_dict) and reducible X^n - gamma*D."""
+    """Validated constructor; rejects wild n, reducible X^n - gamma*D and s
+    outside [1, MAX_REPORT_INT / MAX_POLY_DEG], the bound of profile_from_dict.
+
+    F_{q^s} is never built: s enters only the exponent of is_eth_power and
+    the residue degrees t = s * (orbit size) at infinity, and an orbit holds
+    at most d <= MAX_POLY_DEG roots, so every t stays within MAX_REPORT_INT.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     if not isinstance(s, int) or s < 1:
         raise DomainError("base constants degree s must be a positive integer")
-    if s > MAX_TOWER_DEG:
-        raise DomainError(f"base constants degree s = {s} exceeds cap {MAX_TOWER_DEG}")
+    if s * MAX_POLY_DEG > MAX_REPORT_INT:
+        raise DomainError(f"base constants degree s = {s} exceeds cap {MAX_Q}^{MAX_POLY_DEG}"
+                          f"/{MAX_POLY_DEG}")
     if n % ctx.p == 0:
         raise DomainError(f"wild case p | n is out of scope (p = {ctx.p}, n = {n})")
     if not isinstance(gamma, FqElem) or gamma.ctx is not ctx or gamma.is_zero():
@@ -123,7 +129,7 @@ def _infinity_degrees(gamma, d, s):
     F_{q^s}(T), with t = s * (orbit size).
     """
     ctx = gamma.ctx
-    if d > MAX_POLY_DEG:  # genus factors X^d - gamma, under factor's cap
+    if d > MAX_POLY_DEG:  # bounds an orbit, so t <= s * MAX_POLY_DEG <= MAX_REPORT_INT
         raise DomainError(f"degree {d} exceeds cap {MAX_POLY_DEG}")
     n = ctx.q - 1
     N = d * n
@@ -202,12 +208,15 @@ def profile_from_dict(data):
     Expected shape:
       {"q": int, "finite": [{"deg": int, "e": [int, ...]}, ...],
        "infinity": [{"e": int, "t": int}, ...], "s": int?, "geometric": bool?}
-    with q a prime power up to MAX_Q, place degrees deg and t up to
-    MAX_POLY_DEG, s up to MAX_TOWER_DEG and the e_P of the finite places
-    multiplying to at most MAX_Q^MAX_POLY_DEG, which bounds every number a
-    report derives from them (the wild bound, [F_0 meet R+ : k]). Finite
-    places where every exponent is 1 are dropped. Any missing, non-integer
-    or out-of-range field is a DomainError: numbers are taken as they are,
+    with q a prime power up to MAX_Q and place degrees deg up to
+    MAX_POLY_DEG (c_P builds q^deg). MAX_REPORT_INT = MAX_Q^MAX_POLY_DEG
+    bounds the other degrees and the e_P product: each t is at most that,
+    s at most MAX_REPORT_INT / MAX_POLY_DEG (radical_extension's bound, so
+    the JSON of every radical profile loads back), and the e_P of the
+    finite places multiply to at most that, which bounds what a report
+    derives from them (the wild bound, [F_0 meet R+ : k]). Finite places
+    where every exponent is 1 are dropped. Any missing, non-integer or
+    out-of-range field is a DomainError: numbers are taken as they are,
     never rounded or converted, and geometric must be true, false or null.
     """
 
@@ -231,8 +240,8 @@ def profile_from_dict(data):
     if len(primes) != 1:
         raise DomainError(f"q = {q} is not a prime power")
     (p,) = primes
-    if not 1 <= s <= MAX_TOWER_DEG:
-        raise DomainError(f"s = {s} outside [1, {MAX_TOWER_DEG}]")
+    if s < 1 or s * MAX_POLY_DEG > MAX_REPORT_INT:
+        raise DomainError(f"s = {s} outside [1, {MAX_Q}^{MAX_POLY_DEG}/{MAX_POLY_DEG}]")
     finite = []
     e_prod = 1
     for entry, deg, e_list in finite_in:
@@ -242,13 +251,13 @@ def profile_from_dict(data):
             continue
         e_P = reduce(gcd, e_list)
         e_prod *= e_P
-        if e_prod > MAX_Q ** MAX_POLY_DEG:
+        if e_prod > MAX_REPORT_INT:
             raise DomainError(f"the e_P of the finite places multiply past {MAX_Q}^{MAX_POLY_DEG}")
         u = p_adic_val(p, e_P)
         finite.append(FinitePlace(deg, e_list, e_P, u, e_P // p ** u))
     infinity = []
     for entry, e, t in infinity_in:
-        if e < 1 or not 1 <= t <= MAX_POLY_DEG:
+        if e < 1 or not 1 <= t <= MAX_REPORT_INT:
             raise DomainError(f"bad infinite place entry {entry!r}")
         infinity.append((e, t))
     if not infinity:

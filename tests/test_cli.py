@@ -6,6 +6,7 @@ content checks run in-process for speed.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffgenus import ffpoly, oracle
 from ffgenus.cli import main
+from ffgenus.ramify import profile_from_dict
 
 EX51 = ["genus", "--field", "3", "--n", "2", "--gamma", "1",
         "--poly", "T^3+2T+1"]
@@ -125,6 +127,9 @@ def test_base_constants_flag(capsys):
 
 F256 = ["--field", "2^8", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
 F65536 = ["--field", "2^16", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g)"]
+# the largest S whose residue degrees t = S * (orbit of at most 64 roots) stay
+# within 2^1024, the bound on a profile's t
+MAX_S = 2 ** 1018
 
 
 @pytest.mark.parametrize("argv,code,line", [
@@ -134,16 +139,25 @@ F65536 = ["--field", "2^16", "--n", "3", "--gamma", "g", "--poly", "T*(T+1)*(T+g
     (["analyze"] + F256 + ["--base-constants", "8"], 0, b"t0 = 24"),
     (["analyze", "--field", "3", "--n", "2", "--gamma", "1", "--poly", "T*(T+1)",
       "--base-constants", "64"], 0, b"t0 = 64"),
-    # S * m = 72 and 1024 pass 64: S alone is capped, as in a profile's s
+    # S * m = 72 and 1024 pass 64: t is counted on integers, as is a profile's t
     (["genus"] + F256 + ["--base-constants", "9"], 0, b"t0 = 9"),
     (["analyze"] + F256 + ["--base-constants", "9"], 0, b"t0 = 9"),
     (["genus"] + F65536 + ["--base-constants", "64"], 0, b"t0 = 192"),
-    (["genus"] + F256 + ["--base-constants", "65"], 1,
-     b"error: base constants degree s = 65 exceeds cap 64\n"),
+    (["genus"] + F256 + ["--base-constants", "65"], 0, b"t0 = 195"),
+    pytest.param(["genus"] + F256 + ["--base-constants", str(MAX_S)], 0,
+                 f"t0 = {3 * MAX_S}".encode(), id="genus-S-at-cap"),
+    pytest.param(["analyze"] + F256 + ["--base-constants", str(MAX_S)], 0,
+                 f"t0 = {3 * MAX_S}".encode(), id="analyze-S-at-cap"),
+    pytest.param(["genus"] + F256 + ["--base-constants", str(MAX_S + 1)], 1,
+                 f"error: base constants degree s = {MAX_S + 1} exceeds cap 65536^64/64\n"
+                 .encode(), id="genus-S-past-cap"),
+    pytest.param(["analyze"] + F256 + ["--base-constants", str(MAX_S + 1)], 1,
+                 f"error: base constants degree s = {MAX_S + 1} exceeds cap 65536^64/64\n"
+                 .encode(), id="analyze-S-past-cap"),
 ])
 def test_base_constants_end_fast(argv, code, line):
     # F_{q^s} is never built: over F_256 this took 18.9 s (s = 4) and over a
-    # minute (s = 8), and 17.6 s over F_3 with s = 64
+    # minute (s = 8), and 17.6 s over F_3 with s = 64; S enters only exponents
     start = time.perf_counter()
     proc = run_cli(argv, timeout=60)
     assert time.perf_counter() - start < 1.0
@@ -249,6 +263,28 @@ def test_oracle_verify_passes(capsys):
     assert "all checks passed" in out
     assert "FAIL" not in out
     assert out.count("ok ") == 5
+
+
+@pytest.mark.parametrize("argv,tag", [
+    (["--field", "9", "--n", "4", "--gamma", "g", "--poly", "T*(T+1)", "--base-constants", "2"],
+     "ok"),
+    (["--field", "9", "--n", "4", "--gamma", "g", "--poly", "T*(T+1)", "--base-constants", "3"],
+     "ok"),
+    # q^(n//2 + 1) = 3^51 is past the budget, with or without base constants
+    (["--field", "3", "--n", "101", "--gamma", "1", "--poly", "T", "--base-constants", "2"],
+     "skip"),
+])
+def test_oracle_verify_checks_splitting_under_base_constants(capsys, argv, tag):
+    # constants change no ramification at finite places, and X^n - gamma*D that is
+    # irreducible over F_{q^S}(T) is irreducible over F_q(T): K is checked over F_q(T)
+    code, out = run_main(capsys, ["oracle-verify"] + argv)
+    assert code == 0
+    assert out == ("ok   naive_factor vs factor\n"
+                   "ok   unit_count vs euler_phi\n"
+                   "ok   carlitz composition laws\n"
+                   "ok   t0_root_degrees vs t0_radical\n"
+                   f"{tag:4s} splitting_at_finite vs ram_finite\n"
+                   "all checks passed\n")
 
 
 def test_exit_codes_black_box():
@@ -389,8 +425,10 @@ def test_long_product_literal_ends_fast():
     {"q": 1000000007, "infinity": [{"e": 1, "t": 1}]},
     # degrees far above MAX_POLY_DEG would build q ** deg
     {"q": 9, "finite": [{"deg": 1000000000, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
-    {"q": 9, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1000000000}]},
-    {"q": 9, "s": 1000000000, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 1}]},
+    # just past the bounds of t and s, 2^1024 and 2^1018 (t = s * 64 <= 2^1024)
+    {"q": 9, "finite": [{"deg": 1, "e": [2]}], "infinity": [{"e": 2, "t": 2 ** 1024 + 1}]},
+    {"q": 9, "s": 2 ** 1018 + 1, "finite": [{"deg": 1, "e": [2]}],
+     "infinity": [{"e": 2, "t": 1}]},
     # truncating these to q = 9, deg = 2, e = 2 would give a report
     {"q": 9.7, "finite": [{"deg": 2.9, "e": [2.5]}], "infinity": [{"e": 1, "t": 1}]},
     # the e_P multiply past 2^1024: the wild bound 2^28000, and [F_0 meet R+ : k]
@@ -424,6 +462,60 @@ def test_profile_at_the_e_P_bound_reports(capsys, tmp_path):
     code, out = run_main(capsys, ["genus", "--profile", str(path), "--format", "json"])
     assert code == 0
     assert json.loads(out)["wild"]["finite_wild_degree_bound"] == 2 ** 1024
+
+
+# every prime power q <= 81, as (p, m)
+_ROUND_TRIP_FIELDS = [(p, m) for q in range(2, 82)
+                      if len(f := ffpoly.factor_int(q)) == 1 for p, m in f.items()]
+
+
+def _radical_analyze_argv(rng):
+    """analyze --format json on a random K over q <= 81 with S <= 70, D a
+    product of up to three irreducibles of degree <= 2 (so the e_P, each at
+    most n <= 24, multiply far below 2^1024); the radicand may be reducible."""
+    p, m = rng.choice(_ROUND_TRIP_FIELDS)
+    ctx = ffpoly.make_context(p, m)
+    n = rng.choice([n for n in range(2, 25) if n % p])
+    D, Ps = ffpoly.FqPoly.const(ctx, ctx.one()), []
+    for _ in range(rng.randrange(1, 4)):
+        P = ffpoly.FqPoly(ctx, tuple(ctx.from_int(rng.randrange(ctx.q))
+                                     for _ in range(rng.randrange(1, 3))) + (ctx.one(),))
+        alpha = rng.randrange(1, n)
+        if P not in Ps and D.degree + alpha * P.degree <= 64 and ffpoly.is_irreducible(P):
+            Ps.append(P)
+            D = D * P ** alpha
+    return ["analyze", "--field", f"{p}^{m}", "--n", str(n),
+            "--gamma", ffpoly.render_element(ctx.from_int(rng.randrange(1, ctx.q))),
+            "--poly", ffpoly.render_poly(D), "--base-constants", str(rng.randrange(1, 71)),
+            "--format", "json"]
+
+
+def test_analyze_json_loads_back_as_a_profile(capsys, tmp_path):
+    # the t at infinity are S times an orbit size, so S and the orbits drive t
+    # past 64, which profile_from_dict once refused
+    rng = random.Random(20261020)
+    path = tmp_path / "profile.json"
+    valid = past_64 = 0
+    while valid < 200:
+        argv = _radical_analyze_argv(rng)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 1 and "is reducible" in err:
+            continue
+        assert code == 0, (argv, err)
+        payload = json.loads(out)
+        prof = profile_from_dict(payload)
+        assert prof.infinity == tuple((i["e"], i["t"]) for i in payload["infinity"]), argv
+        assert (prof.e_inf, prof.t0, prof.s) == (
+            payload["e_inf"], payload["t0"], payload["s"]), argv
+        assert [(pl.deg, pl.e_P) for pl in prof.finite] == [
+            (pl["deg"], pl["e_P"]) for pl in payload["finite"]], argv
+        path.write_text(out)
+        assert main(["genus", "--profile", str(path)]) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
+        valid += 1
+        past_64 += max(t for _, t in prof.infinity) > 64
+    assert past_64 >= 20
 
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
@@ -545,7 +637,8 @@ _VALUES = {
     "--poly": _LITERALS,
     "--gamma": _LITERALS,
     "--n": _INTS,
-    "--base-constants": st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["65", "x"])),
+    "--base-constants": st.one_of(st.integers(-1, 8).map(str),
+                                  st.sampled_from(["65", str(2 ** 1018 + 1), "x"])),
     "--format": st.sampled_from(["text", "json", "xml"]),
     "--profile": st.just("PROFILE"),  # replaced by the generated profile's path
     "--bogus": st.just("1"),

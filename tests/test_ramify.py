@@ -405,8 +405,9 @@ def test_profile_from_dict_rejects_garbage():
     {"q": 1, "infinity": [{"e": 1, "t": 1}]},
     [1, 2],
     {"q": 9, "finite": [{"deg": 65, "e": [2]}], "infinity": [{"e": 1, "t": 1}]},
-    {"q": 9, "infinity": [{"e": 1, "t": 65}]},
-    {"q": 9, "s": 65, "infinity": [{"e": 1, "t": 1}]},
+    # t is bounded by 2^1024 and s by 2^1018, so that s * 64 is
+    {"q": 9, "infinity": [{"e": 1, "t": 2 ** 1024 + 1}]},
+    {"q": 9, "s": 2 ** 1018 + 1, "infinity": [{"e": 1, "t": 1}]},
     # numbers are never truncated or converted, and bools are no numbers
     {"q": 9.7, "finite": [{"deg": 2.9, "e": [2.5]}], "infinity": [{"e": 1, "t": 1}]},
     {"q": 9.0, "infinity": [{"e": 1, "t": 1}]},
@@ -434,9 +435,9 @@ def test_profile_from_dict_keeps_geometric_flag():
 
 
 def test_profile_from_dict_accepts_degrees_at_the_caps():
-    prof = profile_from_dict({"q": 9, "s": 64, "finite": [{"deg": 64, "e": [2]}],
-                              "infinity": [{"e": 1, "t": 64}]})
-    assert (prof.s, prof.finite[0].deg, prof.infinity) == (64, 64, ((1, 64),))
+    prof = profile_from_dict({"q": 9, "s": 2 ** 1018, "finite": [{"deg": 64, "e": [2]}],
+                              "infinity": [{"e": 1, "t": 2 ** 1024}]})
+    assert (prof.s, prof.finite[0].deg, prof.infinity) == (2 ** 1018, 64, ((1, 2 ** 1024),))
 
 
 # -- Newton polygons (the oracle of criterion 5) --
