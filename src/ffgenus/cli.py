@@ -31,6 +31,7 @@ from .ffpoly import (
 )
 from .genus import genus_report, genus_report_abstract, render_report, report_json
 from .oracle import (
+    MAX_UNIT_COUNT_Q,
     SWEEP_SEED,
     carlitz_compose_check,
     naive_factor,
@@ -209,7 +210,7 @@ def cmd_oracle_verify(args):
         return True
 
     def check_phi():
-        if ctx.q > 9:
+        if ctx.q > MAX_UNIT_COUNT_Q:
             return None
         return all(unit_count(m) == euler_phi(m)
                    for d in (1, 2) for m in monic_polys(ctx, d))

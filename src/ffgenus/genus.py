@@ -191,12 +191,14 @@ def estar_interval(q, e_P, degP):
     return gcd(e_P, (q ** degP - 1) // (q - 1)), e_P
 
 
-class PlaceComponent(namedtuple("PlaceComponent", "poly deg e_P e0 u_P c_P e_inf_FP gen")):
+class PlaceComponent(namedtuple("PlaceComponent", "poly deg e_P e0 u_P c_P e_inf_FP gen P")):
     """Genus-field datum of one ramified finite place.
 
     gen is the generator of F_P: a Kummer radical when c_P | q - 1, a
     cyclotomic-subfield marker otherwise, None when c_P = 1. e_inf_FP is
-    the ramification index of the infinite prime in F_P/k.
+    the ramification index of the infinite prime in F_P/k. P is the
+    place's FqPoly, of which poly is the rendering, or None for a place of
+    an abstract profile.
     """
 
     __slots__ = ()
@@ -246,7 +248,7 @@ def build_F0(profile):
             else:
                 gen = CycloGen(poly, pl.deg, c)
         places.append(PlaceComponent(poly, pl.deg, pl.e_P, pl.e0, pl.u_P, c,
-                                     e_inf_FP(q, pl.deg, c), gen))
+                                     e_inf_FP(q, pl.deg, c), gen, pl.P))
         if gen is not None:
             gens.append(gen)
     c_inf = reduce(lcm, (pl.e_inf_FP for pl in places), 1)
@@ -369,8 +371,7 @@ def find_F(profile, comps):
     ram = [pl for pl in comps.places if pl.c_P > 1]
     if comps.c_inf == 1 or any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
-    # build_F0 lists the places in the order of profile.finite
-    Ps = [fp.P for fp, pl in zip(profile.finite, comps.places) if pl.c_P > 1]
+    Ps = [pl.P for pl in ram]
     cs = [pl.c_P for pl in ram]
     Nprime = reduce(lcm, cs, 1)
     mus = [Nprime // c for c in cs]
@@ -497,16 +498,14 @@ def _constants_collapse(K, comps):
     constants. Requires every c_P to be Kummer (c_P | q - 1).
     """
     q, n = K.ctx.q, K.n
-    # D is n-th-power free, so every factor is ramified and comps.places
-    # follows the order of D's factorization
-    alphas = [alpha for _, alpha in K.D_factors.factors]
-    for i, (alpha_i, pl) in enumerate(zip(alphas, comps.places)):
+    for pl in comps.places:
         c = pl.c_P
         if c == 1:
             continue
-        if (q - 1) % c != 0 or n % c != 0 or gcd(alpha_i, c) != 1:
+        if (q - 1) % c != 0 or n % c != 0:
             return False
-        if any(am % c for m, am in enumerate(alphas) if m != i):
+        if any(gcd(alpha, c) != 1 if P == pl.P else alpha % c
+               for P, alpha in K.D_factors.factors):
             return False
     return True
 
@@ -589,8 +588,8 @@ def prime_degree_case(q, l, t, K_in_Rplus):
     degree l; the genus field has degree l^{t-1} over K with t_0 = 1 when
     K lies in the totally-split-at-infinity cyclotomic tower, and degree
     l^t with t_0 = l otherwise. Returns ([K_ge : K], t_0). Both q and l
-    are capped at MAX_Q, and t at MAX_POLY_DEG: the D of a radical
-    extension has at most that many prime factors.
+    are capped at MAX_Q, and t at MAX_POLY_DEG, so the degree l^t stays
+    within MAX_Q^MAX_POLY_DEG = MAX_REPORT_INT, the bound on a printed number.
     """
     if not 2 <= q <= MAX_Q or len(factor_int(q)) != 1:
         raise DomainError(f"q = {q} is not a prime power up to {MAX_Q}")

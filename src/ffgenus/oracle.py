@@ -37,7 +37,8 @@ from .genus import (
 )
 
 MAX_ENUM = 1 << 20
-MAX_ORACLE_Q = 81  # largest base field (or residue field) an oracle enumerates
+MAX_ORACLE_Q = 81  # largest base field (or residue field) an oracle tabulates
+MAX_UNIT_COUNT_Q = 9  # largest base field unit_count counts residues over
 MAX_ORACLE_DEG = 16  # largest polynomial degree an oracle factors by trial division
 SWEEP_SEED = 20260815  # seed of the deterministic random sweeps
 
@@ -197,7 +198,7 @@ def unit_count(M):
     if M.is_zero() or M.degree < 1:
         raise DomainError("modulus must be nonconstant")
     ctx = M.ctx
-    if ctx.q > 9:
+    if ctx.q > MAX_UNIT_COUNT_Q:
         raise DomainError(f"field size {ctx.q} exceeds the unit count cap")
     if M.degree > 3:
         raise DomainError(f"degree {M.degree} exceeds the unit count cap")
@@ -312,7 +313,7 @@ def t0_root_degrees(gamma, d):
 
     Builds the explicit splitting field F_{q^b} with d*ord(gamma) dividing
     q^b - 1, collects the d roots by scanning it, and measures each root's
-    degree as its Frobenius orbit length.
+    degree as its Frobenius orbit length. MAX_ENUM bounds F_{q^b}, and so q.
     """
     if gamma.is_zero():
         raise DomainError("gamma must be nonzero")
@@ -321,8 +322,6 @@ def t0_root_degrees(gamma, d):
     ctx = gamma.ctx
     if d % ctx.p == 0:
         raise DomainError("d must be prime to the characteristic")
-    if ctx.q > MAX_ORACLE_Q:
-        raise DomainError(f"field size {ctx.q} exceeds oracle cap {MAX_ORACLE_Q}")
     b = root_field_degree(gamma, d, MAX_ENUM)
     if b is None:
         raise DomainError(f"the splitting field of X^{d} - gamma over F_{ctx.q} "
@@ -450,7 +449,7 @@ def enumerate_F(profile, comps):
     size = prod(pl.c_P for pl in ram)
     if size > MAX_ENUM:
         raise DomainError(f"subfield lattice of size {size} exceeds the enumeration cap")
-    Ps = [fp.P for fp, pl in zip(profile.finite, comps.places) if pl.c_P > 1]
+    Ps = [pl.P for pl in ram]
     cs = [pl.c_P for pl in ram]
     degs = [pl.deg for pl in ram]
     Nprime = reduce(lcm, cs, 1)

@@ -618,6 +618,13 @@ def test_oracle_verify_large_fields_end_in_time(field):
                       "t0_root_degrees vs t0_radical": None}
 
 
+def test_oracle_verify_past_the_table_cap_exits_1():
+    # the first check, naive_factor, refuses a base field it cannot tabulate
+    proc = run_cli(["oracle-verify", "--field", "3^5"], timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: field size 243 exceeds oracle cap 81\n"
+
+
 # -- the CLI contract under fuzzed argv --
 
 _FIELDS = ["2", "3", "4", "5", "7", "8", "9", "3^2", "2^8", "0", "6", "2^99", "65537",

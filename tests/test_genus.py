@@ -24,6 +24,7 @@ from ffgenus.ffpoly import (
     monic_polys,
     parse_element,
     parse_poly,
+    render_poly,
 )
 from ffgenus.genus import (
     _constants_collapse,
@@ -150,6 +151,35 @@ def test_build_F0_wild_place_uses_tame_quotient():
     comps = build_F0(prof)
     (pl,) = comps.places
     assert (pl.e_P, pl.e0, pl.u_P, pl.c_P) == (6, 2, 1, 2)
+
+
+def test_components_carry_their_place_polynomial():
+    rng = random.Random(20261020)
+    ctxs = [make_context(*pm) for pm in ((3, 1), (2, 3), (5, 2), (7, 2), (2, 6), (3, 4))]
+    reports = 0
+    while reports < 60:
+        ctx = rng.choice(ctxs)
+        n = rng.randrange(2, 9)
+        if n % ctx.p == 0:
+            continue
+        D = FqPoly.const(ctx, ctx.one())
+        for _ in range(rng.randrange(1, 4)):
+            tail = [rng.randrange(ctx.q) for _ in range(rng.randrange(1, 3))]
+            D = D * FqPoly.from_ints(ctx, tail + [1]) ** rng.randrange(1, n)
+        try:
+            K = radical_extension(ctx, n, ctx.from_int(rng.randrange(1, ctx.q)), D)
+        except DomainError:
+            continue
+        r = genus_report(K)
+        Ps = [P for P, _ in factor(K.D).factors]
+        assert r.components.places
+        for pl in r.components.places:
+            assert render_poly(pl.P) == pl.poly and pl.P in Ps, K
+        reports += 1
+    prof = profile_from_dict({"q": 9, "finite": [{"deg": 1, "e": [6]}, {"deg": 2, "e": [4]}],
+                              "infinity": [{"e": 2, "t": 1}]})
+    places = genus_report_abstract(prof).components.places
+    assert len(places) == 2 and all(pl.P is None for pl in places)
 
 
 def test_report_runs_no_irreducibility_test(monkeypatch):
@@ -656,13 +686,44 @@ def test_constants_collapse_closed_form_matches_the_search():
                 for alphas in itertools.product(range(1, 9), repeat=k):
                     for cs in itertools.product(range(1, 9), repeat=k):
                         K = SimpleNamespace(ctx=SimpleNamespace(q=q), n=n, D_factors=SimpleNamespace(
-                            factors=[(None, a) for a in alphas]))
-                        comps = SimpleNamespace(places=[SimpleNamespace(c_P=c) for c in cs])
+                            factors=list(enumerate(alphas))))
+                        comps = SimpleNamespace(places=[SimpleNamespace(c_P=c, P=i)
+                                                        for i, c in enumerate(cs)])
                         expected = _constants_collapse_by_search(q, n, alphas, cs)
                         assert _constants_collapse(K, comps) == expected, (q, n, alphas, cs)
                         cases += 1
                         collapses += expected
     assert cases == 2 * 12 * (64 + 64 * 64) and 0 < collapses < cases
+
+
+def test_constants_collapse_ignores_the_order_of_the_places():
+    # c_P = 3 at T and 2 at T + 1: read against the exponents in the wrong
+    # order, T's alpha = 4 is not prime to 3 and the certificate is lost
+    K = K_of(7, 1, 6, 3, "T^4*(T+1)^3")
+    comps = build_F0(build_profile(K))
+    assert [pl.c_P for pl in comps.places] == [3, 2]
+    assert _constants_collapse(K, comps)
+    assert _constants_collapse(K, comps._replace(places=comps.places[::-1]))
+    rng = random.Random(20261020)
+    ctxs = [make_context(*pm) for pm in ((3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2))]
+    irr = {ctx.q: irreducibles(ctx, 1) for ctx in ctxs}
+    checked = 0
+    while checked < 300:
+        ctx = rng.choice(ctxs)
+        n = rng.randrange(2, 13)
+        if n % ctx.p == 0:
+            continue
+        D = FqPoly.const(ctx, ctx.one())
+        for P in rng.sample(irr[ctx.q], rng.randrange(2, 4)):
+            D = D * P ** rng.randrange(1, n)
+        try:
+            K = radical_extension(ctx, n, ctx.from_int(rng.randrange(1, ctx.q)), D)
+        except DomainError:
+            continue
+        comps = build_F0(build_profile(K))
+        assert _constants_collapse(K, comps) == _constants_collapse(
+            K, comps._replace(places=comps.places[::-1])), K
+        checked += 1
 
 
 def test_report_bounds_with_conjecture():
