@@ -387,49 +387,16 @@ def splitting_at_finite(K, P):
     return 1, degs
 
 
-class NewtonPolygon(namedtuple("NewtonPolygon", "vertices slopes")):
-    """Lower convex hull of (exponent, valuation) points; slopes increase."""
-
-    __slots__ = ()
-
-
-def newton_polygon(points):
-    from fractions import Fraction  # imported by its only user, off the start-up path
-
-    pts = sorted(set(points))
-    if len(pts) < 2:
-        raise DomainError("a polygon needs at least two distinct points")
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the middle point only while it dips strictly below the chord
-            if (y2 - y1) * (pt[0] - x1) < (pt[1] - y1) * (x2 - x1):
-                break
-            hull.pop()
-        hull.append(pt)
-    slopes = tuple(
-        Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0])
-        for i in range(len(hull) - 1))
-    if any(slopes[i] > slopes[i + 1] for i in range(len(slopes) - 1)):
-        raise AssertionError(f"hull slopes {slopes} do not increase")
-    return NewtonPolygon(tuple(hull), slopes)
-
-
 def newton_polygon_e(n, alpha):
     """Ramification index read off the polygon of X^n - u with v(u) = alpha.
 
-    The polygon has the single segment (0, alpha) -- (n, 0), so every root
-    has valuation alpha/n and the index is the reduced denominator.
+    The polygon is the single segment (0, alpha) -- (n, 0) of slope
+    -alpha/n, so every root has valuation alpha/n and the index is the
+    denominator of alpha/n in lowest terms.
     """
     if n < 1 or alpha < 0:
         raise DomainError("need n >= 1 and alpha >= 0")
-    if alpha == 0:
-        return 1
-    poly = newton_polygon([(0, alpha), (n, 0)])
-    if len(poly.slopes) != 1:
-        raise AssertionError(f"polygon of X^n - u has {len(poly.slopes)} segments, not 1")
-    return poly.slopes[0].denominator
+    return n // gcd(n, alpha)
 
 
 def enumerate_F(profile, comps):

@@ -533,42 +533,23 @@ def _golden_ids(cases):
     return ids
 
 
-@pytest.mark.parametrize("case", GOLDENS, ids=_golden_ids(GOLDENS))
-def test_cli_golden_output(capsys, case):
-    """factor/phi/carlitz/analyze/genus over q = 3 .. 2^12 and oracle-verify
-    over q <= 25, captured before the integer element kernel, carlitz at
-    degree 12 over F_2 and 11 over F_3, captured before the coefficient
-    recursion, and analyze in text and JSON for two K with constant field
-    F_{q^2} (gcd(n, alpha_1, ...) = 2), captured when geometric became
-    exact, and the reducible radicand that base constants F_9 make of
-    2T^2 (exit 1): stdout and stderr must match byte for byte."""
-    code = main(case["argv"])
-    out, err = capsys.readouterr()
-    assert (code, out, err) == (case["code"], case["stdout"], case.get("stderr", ""))
-
-
 WORK_COUNTS = Path(__file__).parent / "data" / "work_counts.json"
-# run after the goldens: a genus input whose residue tower F_{11^10} takes
-# seconds, the largest oracle-verify field and a degree-64 factor
-WORK_ROWS = {
-    "stall-genus-11-n10": ["genus", "--field", "11", "--n", "10", "--gamma", "2",
-                           "--poly", "T*(T+1)^9"],
-    "oracle-verify-81": ["oracle-verify", "--field", "81"],
-    "factor-3^10-deg64": ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
-}
+WORK_TABLE = json.loads(WORK_COUNTS.read_text())
 COUNTED_FUNCTIONS = ("powmod", "factor", "make_context", "is_eth_power")
 COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "extension"))
 
 
-def golden_work_counts(monkeypatch):
-    """{row id: {counted name: calls}}, the goldens run in file order, then WORK_ROWS.
+def counted_run(argv):
+    """main(argv) run as one fresh CLI call: (exit code, {counted name: calls}).
 
-    Every binding of a counted function in an ffgenus module and every
-    counted method is replaced by a counter, as the benchmark's tracer does.
     The run starts from an empty context cache and empty oracle caches, so
-    the counts do not depend on what ran before in the same process.
+    its counts include context construction and do not depend on what ran
+    before in the same process. Every binding of a counted function in an
+    ffgenus module and every counted method is replaced by a counter, as the
+    benchmark's tracer does, and restored when the run ends.
     """
-    calls = {}
+    names = [f"{cls}.{name}" for cls, name in COUNTED_METHODS] + list(COUNTED_FUNCTIONS)
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -577,34 +558,57 @@ def golden_work_counts(monkeypatch):
         return counted
 
     modules = [mod for name, mod in sys.modules.items() if name.startswith("ffgenus.")]
-    for name in COUNTED_FUNCTIONS:
-        fn = getattr(ffpoly, name)
-        counted = counting(name, fn)
-        for mod in modules:
-            if vars(mod).get(name) is fn:
-                monkeypatch.setattr(mod, name, counted)
-    for cls, name in COUNTED_METHODS:
-        owner = getattr(ffpoly, cls)
-        monkeypatch.setattr(owner, name, counting(f"{cls}.{name}", getattr(owner, name)))
-    monkeypatch.setattr(ffpoly, "_CTX_CACHE", {})
-    oracle._field.cache_clear()
-    oracle._qpow_chain.cache_clear()
-    names = [f"{cls}.{name}" for cls, name in COUNTED_METHODS] + list(COUNTED_FUNCTIONS)
-    table = {}
-    rows = list(zip(_golden_ids(GOLDENS), (case["argv"] for case in GOLDENS)))
-    for gid, argv in rows + list(WORK_ROWS.items()):
-        calls.update(dict.fromkeys(names, 0))
-        main(argv)
-        table[gid] = dict(calls)
-    return table
+    with pytest.MonkeyPatch.context() as mp:
+        for name in COUNTED_FUNCTIONS:
+            fn = getattr(ffpoly, name)
+            counted = counting(name, fn)
+            for mod in modules:
+                if vars(mod).get(name) is fn:
+                    mp.setattr(mod, name, counted)
+        for cls, name in COUNTED_METHODS:
+            owner = getattr(ffpoly, cls)
+            mp.setattr(owner, name, counting(f"{cls}.{name}", getattr(owner, name)))
+        mp.setattr(ffpoly, "_CTX_CACHE", {})
+        oracle._field.cache_clear()
+        oracle._qpow_chain.cache_clear()
+        code = main(argv)
+    return code, calls
 
 
-def test_golden_work_counts_match_the_pinned_table(monkeypatch, capsys):
-    """The kernel calls of each golden and each WORK_ROWS input are pinned: a
-    change that alters them regenerates tests/data/work_counts.json and says
-    which rows moved and why. The counts do not depend on PYTHONHASHSEED or
-    on python -O."""
-    assert golden_work_counts(monkeypatch) == json.loads(WORK_COUNTS.read_text())
+@pytest.mark.parametrize("case", GOLDENS, ids=_golden_ids(GOLDENS))
+def test_cli_golden_output(capsys, case, request):
+    """factor/phi/carlitz/analyze/genus over q = 3 .. 2^12 and oracle-verify
+    over q <= 25, captured before the integer element kernel, carlitz at
+    degree 12 over F_2 and 11 over F_3, captured before the coefficient
+    recursion, and analyze in text and JSON for two K with constant field
+    F_{q^2} (gcd(n, alpha_1, ...) = 2), captured when geometric became
+    exact, and the reducible radicand that base constants F_9 make of
+    2T^2 (exit 1): stdout and stderr must match byte for byte, and the
+    kernel calls of the run, from empty caches, must match the case's row
+    of tests/data/work_counts.json. A change that alters the calls
+    regenerates that row and says which rows moved and why; the counts do
+    not depend on PYTHONHASHSEED or on python -O."""
+    code, calls = counted_run(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case.get("stderr", ""))
+    assert calls == WORK_TABLE[request.node.callspec.id]
+
+
+# inputs beyond the goldens: a genus input whose residue tower F_{11^10} takes
+# seconds, the largest oracle-verify field and a degree-64 factor
+WORK_ROWS = {
+    "stall-genus-11-n10": ["genus", "--field", "11", "--n", "10", "--gamma", "2",
+                           "--poly", "T*(T+1)^9"],
+    "oracle-verify-81": ["oracle-verify", "--field", "81"],
+    "factor-3^10-deg64": ["factor", "--field", "3^10", "--poly", "T^64+T^3+g"],
+}
+
+
+def test_golden_work_counts_match_the_pinned_table():
+    """The kernel calls of each WORK_ROWS input, each run from empty caches,
+    are pinned in tests/data/work_counts.json beside the goldens' rows."""
+    for row, argv in WORK_ROWS.items():
+        assert counted_run(argv)[1] == WORK_TABLE[row], row
 
 
 @pytest.mark.parametrize("field", ["16", "27", "32", "49"])
@@ -703,3 +707,16 @@ def test_fuzzed_argv_keeps_the_cli_contract(tmp_path, argv, profile):
     assert proc.returncode in (0, 1, 2), err
     assert "Traceback" not in err
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py rewrites tests/data/work_counts.json:
+    # one fresh counted run per golden, then per WORK_ROWS input
+    import contextlib
+    import io
+
+    argvs = {**dict(zip(_golden_ids(GOLDENS), (case["argv"] for case in GOLDENS))), **WORK_ROWS}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        table = {row: counted_run(argv)[1] for row, argv in argvs.items()}
+    WORK_COUNTS.write_text("{\n" + ",\n".join(f" {json.dumps(row)}: {json.dumps(calls)}"
+                                               for row, calls in table.items()) + "\n}\n")

@@ -738,6 +738,66 @@ def test_report_bounds_with_conjecture():
     assert "CONJECTURE: K_ge =" in render_report(r)
 
 
+def test_f37_witness_lies_in_K_ge_outside_the_printed_conjecture():
+    """K = k((28*(T+17)^9*(T+24)^14*(T+32)^5)^(1/24)) over F_37, checked in
+    integers alone: z^12 = 32*(T+32)^2 makes K(z)/K unramified at every
+    finite place and split at both infinite primes, so the Kummer field
+    K(z) lies in K_ge. The report prints c'_inf = 1, t0 = 2 and a CONJECTURE
+    that twisted class is missing from: ROADMAP item 18 must enlarge this
+    field, and this test then changes with it.
+
+    n = 24 and deg D = 28 give e_inf = 6, d = 4 and m' = 7, and each
+    infinite prime has a residue root r of X^4 - 28 in F_37(i), i^2 = 2.
+    With a = 5, as _infinity_residue_data sets it, the 12th root of
+    2^u * A, deg A = 2, splits at the prime of r iff 12 divides e_inf * 2
+    and x = 2^u * r^(a*2) is a 12th power of F_{37^2}: x^114 = 1.
+    """
+    p = 37
+
+    def mul(x, y):  # (b, c) is b + c*i
+        return (x[0] * y[0] + 2 * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+    def power(x, k):
+        out = (1, 0)
+        for _ in range(k):
+            out = mul(out, x)
+        return out
+
+    # 2 generates F_37*, so it is a non-square and F_37(i) is F_{37^2}
+    assert [k for k in range(1, p) if pow(2, k, p) == 1] == [36]
+    roots = [(b, c) for b in range(p) for c in range(p) if power((b, c), 4) == (28, 0)]
+    assert roots == [(0, 3), (0, 18), (0, 19), (0, 34)]
+    # Frobenius orbits {3i, 34i} and {18i, 19i}: one per infinite prime
+    assert power((0, 3), p) == (0, 34) and power((0, 18), p) == (0, 19)
+    n, deg_D = 24, 28
+    e_inf = n // gcd(n, deg_D)
+    d = n // e_inf
+    mprime = deg_D // d
+    a = -pow(mprime, -1, e_inf) % e_inf
+    assert (e_inf, d, mprime, a) == (6, 4, 7, 5)
+    assert (e_inf * 2) % 12 == 0
+    assert (p ** 2 - 1) // 12 == 114
+
+    def splits(u):
+        return all(power(mul((pow(2, u, p), 0), power(r, a * 2)), 114) == (1, 0)
+                   for r in roots)
+
+    assert [u for u in range(p - 1) if splits(u)] == list(range(5, p - 1, 6))
+    assert not splits(0)
+    # 32 = 2^5; T + 32 has e = 24 in K, and 12 divides v(z^12) = 2 * 24 there
+    assert (2 * (n // gcd(n, 5))) % 12 == 0
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffgenus.cli", "genus", "--field", "37", "--n", "24",
+         "--gamma", "28", "--poly", "(T+17)^9*(T+24)^14*(T+32)^5"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert "infinity: e_inf = 6, c_inf = 12, c'_inf = 1 (divides 6)" in lines
+    assert "t0 = 2" in lines
+    assert any(line.startswith("CONJECTURE: K_ge = ") for line in lines)
+
+
 def test_report_bounds_without_conjecture():
     ctx = make_context(5, 1)
     D = parse_poly(ctx, "T") * parse_poly(ctx, "T^2+T+1") ** 4

@@ -2,7 +2,6 @@
 
 import random
 import time
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
@@ -19,7 +18,7 @@ from ffgenus.ffpoly import (
     monic_polys,
     parse_poly,
 )
-from ffgenus.oracle import newton_polygon, newton_polygon_e, splitting_at_finite
+from ffgenus.oracle import newton_polygon_e, splitting_at_finite
 from ffgenus.ramify import (
     build_profile,
     p_adic_val,
@@ -448,14 +447,6 @@ def test_newton_polygon_e_fixed():
     assert newton_polygon_e(2, 1) == 2
     assert newton_polygon_e(7, 0) == 1
     assert newton_polygon_e(12, 8) == 3
-
-
-def test_newton_polygon_hull_shape():
-    poly = newton_polygon([(0, 6), (1, 1), (2, 3), (3, 0)])
-    assert poly.vertices == ((0, 6), (1, 1), (3, 0))
-    assert poly.slopes == (Fraction(-5), Fraction(-1, 2))
-    with pytest.raises(DomainError):
-        newton_polygon([(0, 1)])
 
 
 def test_ram_finite_matches_newton_oracle():
