@@ -793,10 +793,15 @@ def _squarefree_parts(f):
 
 
 def _edf_split(g, d, rng):
-    """Split a product of distinct degree-d irreducibles (Cantor-Zassenhaus)."""
+    """Split a product of distinct degree-d irreducibles (Cantor-Zassenhaus).
+
+    Yields each factor as its branch of the splitting tree ends, left branch
+    first, so next() runs one descent and draws only what that descent needs.
+    """
     ctx = g.ctx
     if g.degree == d:
-        return [g]
+        yield g
+        return
     one = FqPoly.const(ctx, ctx.one())
     while True:
         h = FqPoly(ctx, tuple(ctx.from_int(rng.randrange(ctx.q)) for _ in range(g.degree)))
@@ -815,9 +820,9 @@ def _edf_split(g, d, rng):
                 acc = powmod(h, (ctx.q ** d - 1) // 2, g) - one
             s = poly_gcd(acc, g)
         if 0 < s.degree < g.degree:
-            left = _edf_split(s, d, rng)
-            right = _edf_split((g // s).monic(), d, rng)
-            return left + right
+            yield from _edf_split(s, d, rng)
+            yield from _edf_split((g // s).monic(), d, rng)
+            return
 
 
 def factor(f):

@@ -21,6 +21,7 @@ lists plus a constants degree, so equality is decidable by comparison.
 
 from __future__ import annotations
 
+import random
 from collections import namedtuple
 from functools import reduce
 from math import gcd, lcm, prod
@@ -32,6 +33,7 @@ from .ffpoly import (
     MAX_REPORT_INT,
     DomainError,
     FqPoly,
+    _edf_split,
     factor,
     factor_int,
     is_eth_power,
@@ -275,7 +277,10 @@ def _infinity_residue_data(profile):
     c*e - a*m' = 1. Returns (e, a, data), data holding for each factor of
     X^d - gamma over F_q a root r in top = F_{q^f} and the residue degree
     t = lcm(f, s) of the gcd(f, s) infinite primes over that factor
-    (Lidl-Niederreiter, Thm 3.46).
+    (Lidl-Niederreiter, Thm 3.46). A factor h of degree f splits over top
+    into f distinct linear factors, and r is the first that one descent of
+    equal-degree splitting reaches. Any of them will do: r -> r^q fixes
+    F_q, and with it every answer of _root_splits.
     """
     K = profile.radical
     e = profile.e_inf
@@ -292,8 +297,12 @@ def _infinity_residue_data(profile):
         else:
             top = h.ctx.extension(h.degree)
             lifted = FqPoly(top, tuple(top.lift(c) for c in h.coeffs))
-            linear = [u for u, _ in factor(lifted).factors if u.degree == 1]
-            r = -linear[0].coeffs[0]
+            r = -next(_edf_split(lifted, 1, random.Random(0))).coeffs[0]
+            value = top.zero()
+            for c in reversed(lifted.coeffs):
+                value = value * r + c
+            if not value.is_zero():
+                raise AssertionError(f"{r!r} is not a root of {render_poly(h)} in {top!r}")
         data.append((top, r, lcm(h.degree, K.s)))
     return e, a, data
 

@@ -2,15 +2,14 @@
 
 Each function here recomputes something the other modules obtain by formula
 (factorizations, unit counts, the Carlitz module laws, constant degrees of
-root fields, splitting of finite primes, ramification indices from Newton
-polygons) by exhaustive enumeration or trial division, sharing only base
-field arithmetic with the code under test. naive_factor, unit_count,
-splitting_at_finite and carlitz_compose_check stay inside fields of at
-most MAX_ORACLE_Q elements, so they compute on canonical element indices
-with add/mul/neg/inv tables (`_field`) that each field builds once from
-its own element arithmetic: trial division, Euclid, Horner evaluation and
-products of polynomials are table lookups, and no FqPoly division,
-product or gcd runs. t0_root_degrees scans splitting fields
+root fields, splitting of finite primes) by exhaustive enumeration or trial
+division, sharing only base field arithmetic with the code under test.
+naive_factor, unit_count, splitting_at_finite and carlitz_compose_check
+stay inside fields of at most MAX_ORACLE_Q elements, so they compute on
+canonical element indices with add/mul/neg/inv tables (`_field`) that each
+field builds once from its own element arithmetic: trial division, Euclid,
+Horner evaluation and products of polynomials are table lookups, and no
+FqPoly division, product or gcd runs. t0_root_degrees scans splitting fields
 of up to MAX_ENUM elements with element arithmetic. The one exception is
 enumerate_F, the reference for the subgroup algebra of genus.find_F: it
 walks the whole subfield lattice but runs the split test at infinity and
@@ -385,18 +384,6 @@ def splitting_at_finite(K, P):
     if sum(degs) != K.n:
         raise AssertionError(f"residue factor degrees {degs} do not sum to n = {K.n}")
     return 1, degs
-
-
-def newton_polygon_e(n, alpha):
-    """Ramification index read off the polygon of X^n - u with v(u) = alpha.
-
-    The polygon is the single segment (0, alpha) -- (n, 0) of slope
-    -alpha/n, so every root has valuation alpha/n and the index is the
-    denominator of alpha/n in lowest terms.
-    """
-    if n < 1 or alpha < 0:
-        raise DomainError("need n >= 1 and alpha >= 0")
-    return n // gcd(n, alpha)
 
 
 def enumerate_F(profile, comps):

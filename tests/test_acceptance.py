@@ -33,14 +33,12 @@ from ffgenus.oracle import (
     SWEEP_SEED,
     carlitz_compose_check,
     naive_factor,
-    newton_polygon_e,
     t0_root_degrees,
     unit_count,
 )
 from ffgenus.ramify import (
     build_profile,
     radical_extension,
-    ram_finite,
     t0_radical,
 )
 
@@ -63,13 +61,13 @@ IRRED = {q: irreducibles(CTX[q], 2) for q in (3, 5, 9, 25)}
 N_CHOICES = {3: (2, 4, 5, 8, 10), 5: (2, 3, 4, 6, 8, 12), 9: (2, 4, 5, 8, 16)}
 
 
-def random_tame_radical(rng, max_alpha=6):
+def random_tame_radical(rng):
     """Valid tame radical instance; alpha_1 = 1 keeps the radicand primitive."""
     q = rng.choice((3, 5, 9))
     ctx = CTX[q]
     n = rng.choice(N_CHOICES[q])
     picks = rng.sample(IRRED[q], rng.randrange(1, 3))
-    alphas = [1] + [rng.randrange(1, min(n, max_alpha))
+    alphas = [1] + [rng.randrange(1, min(n, 6))
                     for _ in range(len(picks) - 1)]
     D = FqPoly.const(ctx, ctx.one())
     for P, a in zip(picks, alphas):
@@ -194,18 +192,6 @@ def test_criterion_5_oracle_equivalences():
                 if d % ctx.p == 0:
                     continue
                 assert t0_root_degrees(gamma, d) == t0_radical(gamma, d, 1), (q, g, d)
-
-    # ramification table vs Newton polygon slopes
-    rng = random.Random(SWEEP_SEED + 1)
-    built = 0
-    while built < 150:
-        K = random_tame_radical(rng, max_alpha=3)
-        if K.D.degree > 6 or K.n > 12:
-            continue
-        built += 1
-        expected = dict(ram_finite(K))
-        for P, alpha in K.D_factors.factors:
-            assert newton_polygon_e(K.n, alpha) == expected.get(P, 1), (K, P)
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

@@ -341,6 +341,51 @@ def test_infinity_data_matches_integer_orbit_model():
     assert {(True, True, False), (True, False, True), (False, True, True)} <= seen
 
 
+def test_residue_root_is_a_root_whose_conjugates_split_alike():
+    # the residue data keeps one root r of each factor h of X^d - gamma; any
+    # conjugate r^(q^i) must give _root_splits the same answer, since r -> r^q fixes F_q
+    rng = random.Random(20261020)
+    fields = [(2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
+              (11, 1), (13, 1), (17, 1), (19, 1), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1)]
+    checked, outcomes = 0, set()
+    while checked < 25:
+        ctx = make_context(*rng.choice(fields))
+        q = ctx.q
+        d = rng.choice([x for x in range(2, 13) if x % ctx.p])
+        e = rng.choice([x for x in (1, 2, 3) if x % ctx.p])
+        gamma = ctx.from_int(rng.randrange(1, q))
+        fac = factor(FqPoly.x(ctx) ** d - FqPoly.const(ctx, gamma))
+        f = max(h.degree for h, _ in fac.factors)
+        if f < 2 or q ** f > 1 << 12:  # the residue field F_{q^f} is a tower: keep it small
+            continue
+        # deg D = d = gcd(deg D, n), and the exponent 1 of T keeps X^n - gamma*D irreducible
+        D = FqPoly.x(ctx) * parse_poly(ctx, "T+1") ** (d - 1)
+        prof = build_profile(radical_extension(ctx, d * e, gamma, D, rng.choice([1, 2, 3])))
+        nprime = reduce(lcm, (pl.c_P for pl in build_F0(prof).places), 1)
+        if nprime == 1:
+            continue
+        e_inf, a, data = _infinity_residue_data(prof)
+        units = (ctx.one(), -ctx.one(), ctx.generator)  # the generator is a non-square for odd q
+        for (h, _), (top, r, t) in zip(fac.factors, data):
+            if h.degree < 2:
+                continue
+            value = top.zero()
+            for c in reversed(h.coeffs):
+                value = value * r + top.lift(c)
+            assert value.is_zero(), (prof, h, r)
+            conjugates = [r ** q ** i for i in range(h.degree)]
+            assert len(set(conjugates)) == h.degree
+            for eps in (x for x in range(1, nprime + 1) if nprime % x == 0):
+                for u, deg in itertools.product(units, (1, 2, 3)):
+                    answers = {_root_splits((e_inf, a, [(top, rc, t)]), eps, u, deg)
+                               for rc in conjugates}
+                    assert len(answers) == 1, (prof, h, eps, u, deg)
+                    if (e_inf * deg) % eps == 0:
+                        outcomes |= answers
+        checked += 1
+    assert outcomes == {True, False}
+
+
 def test_orbit_count_matches_the_factoring_rule_on_large_fields():
     # K = k((gamma * T * (T+1)^(d-1))^(1/de)): gcd(deg D, n) = d, and the exponent 1
     # of T keeps X^n - gamma*D irreducible for every gamma

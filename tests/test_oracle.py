@@ -27,7 +27,6 @@ from ffgenus.oracle import (
     _field,
     carlitz_compose_check,
     naive_factor,
-    newton_polygon_e,
     splitting_at_finite,
     t0_root_degrees,
     unit_count,
@@ -265,7 +264,6 @@ def test_splitting_agrees_with_ramification_formula():
         for P, alpha in K.D_factors.factors:
             e, degs = splitting_at_finite(K, P)
             assert e == expected.get(P, 1)
-            assert e == newton_polygon_e(K.n, alpha)
             if e == 1:
                 assert sum(degs) == K.n
         other = next(h for h in monic_polys(ctx, 1)

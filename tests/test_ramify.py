@@ -18,7 +18,7 @@ from ffgenus.ffpoly import (
     monic_polys,
     parse_poly,
 )
-from ffgenus.oracle import newton_polygon_e, splitting_at_finite
+from ffgenus.oracle import splitting_at_finite
 from ffgenus.ramify import (
     build_profile,
     p_adic_val,
@@ -437,40 +437,6 @@ def test_profile_from_dict_accepts_degrees_at_the_caps():
     prof = profile_from_dict({"q": 9, "s": 2 ** 1018, "finite": [{"deg": 64, "e": [2]}],
                               "infinity": [{"e": 1, "t": 2 ** 1024}]})
     assert (prof.s, prof.finite[0].deg, prof.infinity) == (2 ** 1018, 64, ((1, 2 ** 1024),))
-
-
-# -- Newton polygons (the oracle of criterion 5) --
-
-
-def test_newton_polygon_e_fixed():
-    assert newton_polygon_e(10, 2) == 5
-    assert newton_polygon_e(2, 1) == 2
-    assert newton_polygon_e(7, 0) == 1
-    assert newton_polygon_e(12, 8) == 3
-
-
-def test_ram_finite_matches_newton_oracle():
-    rng = random.Random(23)
-    built = 0
-    while built < 60:
-        p, m = rng.choice([(2, 1), (3, 1), (5, 1), (3, 2)])
-        ctx = make_context(p, m)
-        n = rng.randrange(2, 13)
-        if n % p == 0:
-            continue
-        deg = rng.randrange(1, 7)
-        coeffs = [ctx.from_int(rng.randrange(ctx.q)) for _ in range(deg)] + [ctx.one()]
-        D = FqPoly(ctx, tuple(coeffs))
-        gamma = ctx.from_int(rng.randrange(1, ctx.q))
-        try:
-            K = radical_extension(ctx, n, gamma, D)
-        except DomainError:
-            continue
-        built += 1
-        by_newton = {P: newton_polygon_e(n, alpha) for P, alpha in K.D_factors.factors}
-        for P, e in ram_finite(K):
-            assert e == by_newton[P]
-        assert ram_infinity(K) == newton_polygon_e(n, abs(-D.degree))
 
 
 def test_p_adic_val():
