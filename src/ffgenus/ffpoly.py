@@ -435,12 +435,6 @@ class FqContext:
             return a.v
         return _undigits([self.base.elem_to_int(c) for c in a.v], self.qbase)
 
-    def elem(self, int_coeffs):
-        """Element from a coefficient vector of integers (low degree first)."""
-        if len(int_coeffs) > self.m:
-            raise ParseError("coefficient vector longer than the field degree")
-        return self.from_int(_undigits([c % self.qbase for c in int_coeffs], self.qbase))
-
     def lift(self, a):
         """Embed an element of the base context (a tower constant)."""
         if self.base is None or a.ctx is not self.base:
@@ -477,10 +471,11 @@ class FqContext:
         divides e but not (q - 1)/e, and q = 1 mod 4 when 4 | r
         (Lidl-Niederreiter, Thm 3.75). Needs the discrete log of a flat context.
         """
-        if r % 4 == 0 and self.q % 4 != 1:
-            return None
         n = self.q - 1
         primes = list(factor_int(r))
+        # each l must divide an order e | q - 1, so some l prime to q - 1 rules out every c
+        if (r % 4 == 0 and self.q % 4 != 1) or any(n % l for l in primes):
+            return None
         for c in range(1, self.q):
             e = (-self.from_int(c)).multiplicative_order()
             if all(e % l == 0 and (n // e) % l for l in primes):
@@ -879,10 +874,10 @@ def monic_polys(ctx, degree):
 #   expr   := term (('+'|'-') term)*
 #   term   := factor ('*'? factor)*     ('*' omitted only before NAME or '(')
 #   factor := '-'* atom ('^' INT)?
-#   atom   := INT | NAME | '(' expr ')' | '[' INT (',' INT)* ']'
+#   atom   := INT | NAME | '(' expr ')'
 # so "2T" and "T^2(T+1)" are products. NAME 'g' is the context generator;
-# any other single letter is the polynomial variable. Bracketed vectors are
-# extension-field coefficient lists over the prime subfield.
+# any other single letter is the polynomial variable. A constant is thus an
+# integer, g or g^k, the forms render_element prints.
 
 
 class _Tokens:
@@ -906,7 +901,7 @@ class _Tokens:
             elif ch.isalpha():
                 self.toks.append(("name", ch))
                 i += 1
-            elif ch in "+-*^()[],":
+            elif ch in "+-*^()":
                 self.toks.append((ch, ch))
                 i += 1
             else:
@@ -994,19 +989,6 @@ class _PolyParser:
             if self.toks.next()[0] != ")":
                 raise ParseError("expected ')'")
             return inner
-        if kind == "[":
-            ints = []
-            while True:
-                k, v = self.toks.next()
-                if k != "int":
-                    raise ParseError("vector entries must be integers")
-                ints.append(v)
-                k2 = self.toks.next()[0]
-                if k2 == "]":
-                    break
-                if k2 != ",":
-                    raise ParseError("expected ',' or ']' in vector")
-            return FqPoly.const(ctx, ctx.elem(ints))
         raise ParseError(f"unexpected token {val!r}")
 
 
@@ -1021,7 +1003,7 @@ def parse_poly(ctx, text):
 
 
 def parse_element(ctx, text):
-    """Parse a constant literal (integer, g^k, or bracketed vector)."""
+    """Parse a constant literal: an integer, g or g^k."""
     poly = parse_poly(ctx, text)
     if poly.degree > 0:
         raise ParseError(f"{text!r} is not a constant")

@@ -277,8 +277,9 @@ def _infinity_residue_data(profile):
     c*e - a*m' = 1. Returns (e, a, data), data holding for each factor of
     X^d - gamma over F_q a root r in top = F_{q^f} and the residue degree
     t = lcm(f, s) of the gcd(f, s) infinite primes over that factor
-    (Lidl-Niederreiter, Thm 3.46). A factor h of degree f splits over top
-    into f distinct linear factors, and r is the first that one descent of
+    (Lidl-Niederreiter, Thm 3.46); that multiset of t is checked against
+    profile.infinity. A factor h of degree f splits over top into f
+    distinct linear factors, and r is the first that one descent of
     equal-degree splitting reaches. Any of them will do: r -> r^q fixes
     F_q, and with it every answer of _root_splits.
     """
@@ -290,8 +291,10 @@ def _infinity_residue_data(profile):
     fac = factor(FqPoly.x(K.ctx) ** d - FqPoly.const(K.ctx, K.gamma))
     if any(mult > 1 for _, mult in fac.factors):
         raise AssertionError(f"X^{d} - gamma is not separable although p does not divide d")
-    data = []
+    data, ts = [], []
     for h, _ in fac.factors:
+        t = lcm(h.degree, K.s)
+        ts += [t] * gcd(h.degree, K.s)
         if h.degree == 1:
             top, r = h.ctx, -h.coeffs[0]
         else:
@@ -303,7 +306,13 @@ def _infinity_residue_data(profile):
                 value = value * r + c
             if not value.is_zero():
                 raise AssertionError(f"{r!r} is not a root of {render_poly(h)} in {top!r}")
-        data.append((top, r, lcm(h.degree, K.s)))
+        data.append((top, r, t))
+    # the orbit count of _infinity_degrees, which made profile.infinity, must agree
+    orbit_ts = sorted(t for _, t in profile.infinity)
+    if sorted(ts) != orbit_ts:
+        raise AssertionError(
+            f"infinite primes of degrees {sorted(ts)} by the factors of X^{d} - gamma, "
+            f"{orbit_ts} by the orbits of the profile")
     return e, a, data
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
-from .ffpoly import DomainError, Factorization, FqPoly, _power, is_eth_power, power_exceeds
+from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power, power_exceeds
 from .genus import (
     _bound_only,
     _infinity_residue_data,
@@ -235,21 +235,11 @@ def _xdict_mul(F, a, b):
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=128)
-def _qpow_chain(N):
-    """[rho_N(X)^(q^j) for j = 0, 1, ...], which carlitz_compose_check extends.
-
-    Sweeps pair each N with many M, so the chains of the last 128
-    multipliers are kept; a bound, since every distinct N adds one.
-    """
-    return [_xdict(N)]
-
-
 def carlitz_compose_check(M, N):
     """Both ring laws of the Carlitz action, recomputed formally.
 
     The composite rho_M(rho_N(X)) is expanded by substituting rho_N into
-    rho_M as a plain polynomial in X (dict arithmetic, generic powering),
+    rho_M as a plain polynomial in X (dict arithmetic, repeated products),
     not by carlitz_action's recursion, and compared against rho_{M*N}; the sum
     law rho_{M+N} = rho_M + rho_N is compared componentwise. The
     coefficients in T are multiplied and added on the tables of F_q, so
@@ -262,21 +252,21 @@ def carlitz_compose_check(M, N):
             raise DomainError("multiplier outside the composition oracle caps")
     ctx = M.ctx
     F = _field(ctx)
-    rho_m, chain = _qpow_chain(M)[0], _qpow_chain(N)
-    composed = {}
+    rho_m, rho_n = _xdict(M), _xdict(N)
+    composed, power = {}, rho_n
     for j in range(M.degree + 1):  # the tau-degree of rho_M
-        # rho_N(X)^(q^j) as j*m successive generic p-th powers (q = p^m): the
-        # intermediates stay small, and plain repeated multiplication assumes
-        # no Frobenius identity
-        if len(chain) == j:
-            power = chain[-1]
+        # power = rho_N(X)^(q^j), as j*m successive p-th powers (q = p^m), each
+        # p - 1 plain products by its base: the intermediates stay small, and
+        # no Frobenius identity is assumed
+        if j:
             for _ in range(ctx.mtot):
-                power = _power(power, ctx.p, {0: (1,)}, lambda a, b: _xdict_mul(F, a, b))
-            chain.append(power)
+                base = power
+                for _ in range(ctx.p - 1):
+                    power = _xdict_mul(F, base, power)
         a = rho_m.get(ctx.q ** j)
         if a is None:
             continue
-        for e, c in chain[j].items():
+        for e, c in power.items():
             _xdict_add_into(F, composed, e, _pmul(F, a, c))
     composed = {e: c for e, c in composed.items() if c}
     if composed != _xdict(M * N):
@@ -284,7 +274,7 @@ def carlitz_compose_check(M, N):
     total = M + N
     lhs = {} if total.is_zero() else _xdict(total)
     out = dict(rho_m)
-    for e, c in chain[0].items():
+    for e, c in rho_n.items():
         _xdict_add_into(F, out, e, c)
     return lhs == {e: c for e, c in out.items() if c}
 

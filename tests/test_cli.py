@@ -542,7 +542,7 @@ COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "e
 def counted_run(argv):
     """main(argv) run as one fresh CLI call: (exit code, {counted name: calls}).
 
-    The run starts from an empty context cache and empty oracle caches, so
+    The run starts from an empty context cache and empty oracle field tables, so
     its counts include context construction and do not depend on what ran
     before in the same process. Every binding of a counted function in an
     ffgenus module and every counted method is replaced by a counter, as the
@@ -570,7 +570,6 @@ def counted_run(argv):
             mp.setattr(owner, name, counting(f"{cls}.{name}", getattr(owner, name)))
         mp.setattr(ffpoly, "_CTX_CACHE", {})
         oracle._field.cache_clear()
-        oracle._qpow_chain.cache_clear()
         code = main(argv)
     return code, calls
 

@@ -727,9 +727,12 @@ def test_parse_basic_forms():
 def test_parse_extension_literals():
     ctx = make_context(3, 2)
     assert parse_element(ctx, "g^3") == ctx.generator ** 3
-    assert parse_element(ctx, "[1,2]") == ctx.elem([1, 2])
-    assert P(ctx, "[1,2]T") == P(ctx, "[1,2]*T")
     assert parse_element(ctx, "2") == ctx.from_int(2)
+    # a constant is an integer, g or g^k; coefficient vectors are not literals
+    with pytest.raises(ParseError):
+        parse_element(ctx, "[1,2]")
+    with pytest.raises(ParseError):
+        P(ctx, "[1,2]T")
 
 
 def test_parse_errors():
@@ -765,13 +768,18 @@ def test_parse_caps_power_degree_before_expanding():
     assert parse_element(ext, "g^99999999999") == ext.generator ** 99999999999
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 2), (2, 6), (3, 5), (2, 12)])
 def test_render_parse_round_trip(p, m):
     ctx = make_context(p, m)
     rng = random.Random(99 * p + m)
     for _ in range(50):
         f = small_poly(ctx, rng, 5)
         assert parse_poly(ctx, render_poly(f)) == f
+    # every element (a seeded sample of 500 past q = 243) is the literal it prints
+    indices = range(ctx.q) if ctx.q <= 243 else rng.sample(range(ctx.q), 500)
+    for i in indices:
+        a = ctx.from_int(i)
+        assert parse_element(ctx, render_element(a)) == a, i
 
 
 def test_render_element_canonical():

@@ -386,6 +386,20 @@ def test_residue_root_is_a_root_whose_conjugates_split_alike():
     assert outcomes == {True, False}
 
 
+def test_residue_data_rejects_a_profile_whose_infinite_primes_disagree():
+    # _infinity_residue_data counts the infinite primes again from the factors of
+    # X^d - gamma; a profile.infinity with one t changed must not pass
+    ctx = make_context(5, 1)
+    D = parse_poly(ctx, "T*(T+1)")  # e_inf = 2, d = 2
+    for gamma, s in ((4, 1), (2, 1), (2, 2), (2, 3)):  # X^2 - 4 splits, X^2 - 2 does not
+        prof = build_profile(radical_extension(ctx, 4, ctx.from_int(gamma), D, s))
+        _infinity_residue_data(prof)
+        for i, (e, t) in enumerate(prof.infinity):
+            infinity = prof.infinity[:i] + ((e, t + 1),) + prof.infinity[i + 1:]
+            with pytest.raises(AssertionError, match="infinite primes of degrees"):
+                _infinity_residue_data(prof._replace(infinity=infinity))
+
+
 def test_orbit_count_matches_the_factoring_rule_on_large_fields():
     # K = k((gamma * T * (T+1)^(d-1))^(1/de)): gcd(deg D, n) = d, and the exponent 1
     # of T keeps X^n - gamma*D irreducible for every gamma
