@@ -456,7 +456,7 @@ class FqContext:
         if r * self.mtot > MAX_TOWER_DEG:
             raise DomainError(
                 f"extension degree {r * self.mtot} over F_{self.p} exceeds cap {MAX_TOWER_DEG}")
-        # a binomial X^r + c is decided by the order of -c alone, with no
+        # a binomial X^r + c is decided by the discrete log of -c alone, with no
         # irreducibility test
         modulus = self._binomial_modulus(r) if self.base is None else None
         if modulus is None:
@@ -469,16 +469,17 @@ class FqContext:
 
         X^r - a with a of order e is irreducible iff every prime l | r
         divides e but not (q - 1)/e, and q = 1 mod 4 when 4 | r
-        (Lidl-Niederreiter, Thm 3.75). Needs the discrete log of a flat context.
+        (Lidl-Niederreiter, Thm 3.75). Once every l divides q - 1, the order
+        condition says that l does not divide dlog a, so the discrete log of
+        -c decides each candidate. Needs the discrete log of a flat context.
         """
-        n = self.q - 1
         primes = list(factor_int(r))
         # each l must divide an order e | q - 1, so some l prime to q - 1 rules out every c
-        if (r % 4 == 0 and self.q % 4 != 1) or any(n % l for l in primes):
+        if (r % 4 == 0 and self.q % 4 != 1) or any((self.q - 1) % l for l in primes):
             return None
         for c in range(1, self.q):
-            e = (-self.from_int(c)).multiplicative_order()
-            if all(e % l == 0 and (n // e) % l for l in primes):
+            d = self.dlog(-self.from_int(c))
+            if all(d % l for l in primes):
                 return (self.from_int(c),) + (self.zero(),) * (r - 1)
         return None
 

@@ -427,29 +427,25 @@ def _bound_only(comps):
 def _reduce_generator(ctx, x, Ps, mus, Nprime):
     """Kummer generator for a lattice element, in lowest exponent form.
 
-    The element is w = lam * prod P_i^{x_i mu_i} with lam the sign
-    (-1)^{deg w}; its root generates a field of degree o = the order of w
-    modulo N'-th powers, and the generator is rewritten with e = o. As
-    N' | q - 1, red = N'/o divides every exponent, and some lam0 in F_q*
-    has lam0^red in lam * (F_q*)^{N'}.
+    The element is w = lam * prod P_i^{v_i} with v_i = x_i mu_i and lam the
+    sign (-1)^{deg w}. As N' | q - 1, the discrete log mod N' identifies
+    F_q*/(F_q*)^{N'} with Z/N', so the root of w generates a field of degree
+    o = N'/red with red = gcd(N', dlog lam, v_1, ..., v_k), and the generator
+    is rewritten with e = o. Its unit lam0 is the first in canonical order
+    with red * dlog lam0 = dlog lam (mod N'), that is lam0^red in
+    lam * (F_q*)^{N'}.
     """
-    q = ctx.q
     exps = [xi * m for xi, m in zip(x, mus)]
     dw = sum(P.degree * v for P, v in zip(Ps, exps))
-    one = ctx.one()
-    lam = _sign(ctx, dw)
-    o_val = reduce(lcm, (Nprime // gcd(Nprime, v) for v in exps if v), 1)
-    lam_ord = 1 if lam == one else 2
-    o_lam = lam_ord // gcd(lam_ord, (q - 1) // Nprime)
-    o = lcm(o_val, o_lam)
-    red = Nprime // o
-    for i in range(1, q):
+    log_lam = ctx.dlog(_sign(ctx, dw))
+    red = gcd(Nprime, log_lam, *exps)
+    for i in range(1, ctx.q):
         lam0 = ctx.from_int(i)
-        if is_eth_power(lam0 ** red / lam, Nprime):
+        if (red * ctx.dlog(lam0) - log_lam) % Nprime == 0:
             poly = prod((P ** (v // red) for P, v in zip(Ps, exps)),
-                        start=FqPoly.const(ctx, one))
-            return _radical_gen(o, lam0, render_poly(poly))
-    raise AssertionError(f"no unit lam0 puts the lattice element {x} in {o}-th root form")
+                        start=FqPoly.const(ctx, ctx.one()))
+            return _radical_gen(Nprime // red, lam0, render_poly(poly))
+    raise AssertionError(f"no unit lam0 has {red} * dlog lam0 = {log_lam} mod {Nprime}")
 
 
 # -- wild part --

@@ -32,6 +32,7 @@ from .genus import (
     _infinity_residue_data,
     _reduce_generator,
     _root_splits,
+    _sign,
     field_expr,
 )
 
@@ -74,9 +75,7 @@ def _field(ctx):
 
 
 def _indices(f):
-    """The coefficients of f as canonical indices; a flat context stores them so."""
-    if f.ctx.base is None:
-        return tuple([c.v for c in f.coeffs])
+    """The coefficients of f as canonical indices."""
     return tuple(map(f.ctx.elem_to_int, f.coeffs))
 
 
@@ -399,18 +398,16 @@ def enumerate_F(profile, comps):
     Nprime = reduce(lcm, cs, 1)
     mus = [Nprime // c for c in cs]
     residues = _infinity_residue_data(profile)
-    one, minus = K.ctx.one(), -K.ctx.one()
     split_memo, plus_memo = {}, {}
 
     def w_splits(dw):
         if dw not in split_memo:
-            split_memo[dw] = _root_splits(residues, Nprime, minus if dw % 2 else one, dw)
+            split_memo[dw] = _root_splits(residues, Nprime, _sign(K.ctx, dw), dw)
         return split_memo[dw]
 
     def w_plus(dw):
         if dw not in plus_memo:
-            lam = minus if dw % 2 else one
-            plus_memo[dw] = dw % Nprime == 0 and is_eth_power(lam, Nprime)
+            plus_memo[dw] = dw % Nprime == 0 and is_eth_power(_sign(K.ctx, dw), Nprime)
         return plus_memo[dw]
 
     split_set, plus_set = set(), set()

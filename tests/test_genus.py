@@ -442,6 +442,9 @@ def test_infinite_primes_need_no_factoring(monkeypatch):
     (7, 1, (6, 3, 2)),  # (q - 1)/N' = 1 is odd: -1 has order 2 modulo 6th powers
     (13, 1, (3, 3, 3)),  # (q - 1)/N' = 4 is even: -1 is a cube
     (2, 3, (7, 7)),
+    (2, 2, (3, 3)),
+    (3, 2, (8, 4, 2)),  # Zech arithmetic; -1 = g^4 has order 2 modulo 8th powers
+    (5, 2, (12, 4, 3)),  # (q - 1)/N' = 2 is even: -1 is a 12th power
 ])
 def test_reduce_generator_reaches_lowest_form_on_every_lattice_element(p, m, cs):
     ctx = make_context(p, m)
@@ -460,9 +463,9 @@ def test_reduce_generator_reaches_lowest_form_on_every_lattice_element(p, m, cs)
                      if lam ** k in powers and all(k * v % Nprime == 0 for v in exps))
         gen = _reduce_generator(ctx, x, Ps, mus, Nprime)
         assert gen.e == order, x
-        # gen^(N'/e) is w times an N'-th power
+        # gen^(N'/e) is w times an N'-th power, with the first such unit in canonical order
         red = Nprime // order
-        assert parse_element(ctx, gen.unit) ** red / lam in powers
+        assert parse_element(ctx, gen.unit) == next(y for y in units if y ** red / lam in powers), x
         want = prod((P ** (v // red) for P, v in zip(Ps, exps)), start=one)
         assert parse_poly(ctx, gen.poly) == want
 
