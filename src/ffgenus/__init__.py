@@ -17,8 +17,6 @@ from .genus import (
     estar_interval,
     genus_report,
     genus_report_abstract,
-    prime_degree_case,
-    prime_power_case,
     render_report,
     report_json,
 )
@@ -46,7 +44,7 @@ __all__ = [
     "carlitz_compose_check", "estar_interval", "euler_phi",
     "factor", "genus_report", "genus_report_abstract", "is_irreducible",
     "make_context", "naive_factor", "parse_element", "parse_poly",
-    "prime_degree_case", "prime_power_case", "profile_from_dict",
+    "profile_from_dict",
     "radical_extension", "ram_finite", "ram_infinity", "render_element",
     "render_poly", "render_report", "report_json", "splitting_at_finite",
     "subfield_FP", "t0_radical", "t0_root_degrees", "unit_count",

@@ -28,8 +28,6 @@ from math import gcd, lcm, prod
 
 from .carlitz import e_inf_FP
 from .ffpoly import (
-    MAX_POLY_DEG,
-    MAX_Q,
     MAX_REPORT_INT,
     DomainError,
     FqPoly,
@@ -143,8 +141,15 @@ class FieldExpr(namedtuple("FieldExpr", "q radicals cyclo opaque constants_deg")
 
 
 def field_expr(q, gens=(), constants_deg=1):
-    """Canonically sorted field expression from a mixed generator list."""
-    gens = list(dict.fromkeys(gens))
+    """Canonically sorted field expression from a mixed generator list.
+
+    Equal generators name one field and are kept once: equal radicals, or
+    K's own generator and a split radical. A CycloGen without a polynomial
+    stands for one place of an abstract profile, and two such places of
+    equal degree and c_P are two fields, so each is kept.
+    """
+    gens = [g for i, g in enumerate(gens)
+            if isinstance(g, CycloGen) and g.poly is None or g not in gens[:i]]
     rads = tuple(sorted((g for g in gens if isinstance(g, RadicalGen)),
                         key=lambda g: (g.e, g.poly, g.unit)))
     cyc = tuple(sorted((g for g in gens if isinstance(g, CycloGen)),
@@ -431,14 +436,17 @@ def _reduce_generator(ctx, x, Ps, mus, Nprime):
     sign (-1)^{deg w}. As N' | q - 1, the discrete log mod N' identifies
     F_q*/(F_q*)^{N'} with Z/N', so the root of w generates a field of degree
     o = N'/red with red = gcd(N', dlog lam, v_1, ..., v_k), and the generator
-    is rewritten with e = o. Its unit lam0 is the first in canonical order
-    with red * dlog lam0 = dlog lam (mod N'), that is lam0^red in
-    lam * (F_q*)^{N'}.
+    is rewritten with e = o. Here red = gcd(N', v_1, ..., v_k), since dlog lam
+    never changes the gcd: it is 0 when lam = 1, and when lam = -1 the degree
+    sum_i v_i deg P_i is odd, so some v_i is odd, gcd(N', v_1, ..., v_k) is
+    odd and divides (q - 1)/2 = dlog(-1). The unit lam0 is the first in
+    canonical order with red * dlog lam0 = dlog lam (mod N'), that is lam0^red
+    in lam * (F_q*)^{N'}.
     """
     exps = [xi * m for xi, m in zip(x, mus)]
     dw = sum(P.degree * v for P, v in zip(Ps, exps))
     log_lam = ctx.dlog(_sign(ctx, dw))
-    red = gcd(Nprime, log_lam, *exps)
+    red = gcd(Nprime, *exps)
     for i in range(1, ctx.q):
         lam0 = ctx.from_int(i)
         if (red * ctx.dlog(lam0) - log_lam) % Nprime == 0:
@@ -589,83 +597,6 @@ def genus_report_abstract(profile):
                        lower=lower, upper=upper, exact=exact,
                        exact_field=exact_field, conjectural=None,
                        exactness_reason="F_equals_F0" if exact else None)
-
-
-# -- closed-form families --
-
-
-def prime_degree_case(q, l, t, K_in_Rplus):
-    """Genus degree and t_0 for cyclic extensions of prime degree l with
-    l not dividing q(q-1) and t ramified places.
-
-    Such extensions are unramified at infinity and every component F_P has
-    degree l; the genus field has degree l^{t-1} over K with t_0 = 1 when
-    K lies in the totally-split-at-infinity cyclotomic tower, and degree
-    l^t with t_0 = l otherwise. Returns ([K_ge : K], t_0). Both q and l
-    are capped at MAX_Q, and t at MAX_POLY_DEG, so the degree l^t stays
-    within MAX_Q^MAX_POLY_DEG = MAX_REPORT_INT, the bound on a printed number.
-    """
-    if not 2 <= q <= MAX_Q or len(factor_int(q)) != 1:
-        raise DomainError(f"q = {q} is not a prime power up to {MAX_Q}")
-    if not 2 <= l <= MAX_Q or factor_int(l) != {l: 1}:
-        raise DomainError(f"l = {l} must be a prime up to {MAX_Q}")
-    if q % l == 0 or (q - 1) % l == 0:
-        raise DomainError(f"l = {l} must not divide q(q-1)")
-    if not isinstance(t, int) or t < 1:
-        raise DomainError("need at least one ramified place")
-    if t > MAX_POLY_DEG:
-        raise DomainError(f"t = {t} ramified places exceed the cap {MAX_POLY_DEG}")
-    if K_in_Rplus:
-        return l ** (t - 1), 1
-    return l ** t, l
-
-
-class PrimePowerProfile(namedtuple(
-        "PrimePowerProfile",
-        "l nu a dprime d delta m e_inf c_inf cprime_bound t0 geometric gens")):
-    """Closed-form data for K = k((gamma*D)^(1/l^nu)) with l^nu | q - 1.
-
-    a holds v_l(alpha_i) per prime factor of D and dprime the valuations
-    v_l(deg P_i); d = min(nu, v_l(deg D)) and delta = min over places of
-    min(nu, a_i + dprime_i), so e_inf = l^(nu-d) and c_inf = l^(nu-delta),
-    with c'_inf dividing their gcd l^(nu-d). t0 = l^m where m is minimal
-    with (-1)^{deg D} gamma an l^d-th power of F_{q^{l^m}}.
-    """
-
-    __slots__ = ()
-
-
-def prime_power_case(K):
-    """Evaluate the closed-form formulas for prime-power Kummer degree."""
-    if K.s != 1:
-        raise DomainError("prime power analysis needs base constants s = 1")
-    q = K.ctx.q
-    if (q - 1) % K.n != 0:
-        raise DomainError(f"need n = {K.n} | q - 1")
-    ls = factor_int(K.n)
-    if len(ls) != 1:
-        raise DomainError(f"n = {K.n} is not a prime power")
-    ((l, nu),) = ls.items()
-    fac = K.D_factors.factors
-    if not fac:
-        raise DomainError("D must have at least one prime factor")
-    a = tuple(p_adic_val(l, alpha) for _, alpha in fac)
-    dprime = tuple(p_adic_val(l, P.degree) for P, _ in fac)
-    d = min(nu, p_adic_val(l, K.D.degree))
-    delta = min(min(nu, ai + dpi) for ai, dpi in zip(a, dprime))
-    beta = _sign(K.ctx, K.D.degree) * K.gamma
-    m = 0
-    while not is_eth_power(beta, l ** d, l ** m):
-        m += 1
-        if m > d:  # the l^d-th roots of beta lie in F_{q^(l^d)}
-            raise AssertionError(f"t0 exponent m = {m} exceeds d = {d}")
-    gens = [_radical_gen(l ** (nu - ai), _sign(K.ctx, P.degree), render_poly(P))
-            for (P, _), ai in zip(fac, a)]
-    return PrimePowerProfile(
-        l=l, nu=nu, a=a, dprime=dprime, d=d, delta=delta, m=m,
-        e_inf=l ** (nu - d), c_inf=l ** (nu - delta),
-        cprime_bound=l ** (nu - d), t0=l ** m, geometric=0 in a,
-        gens=tuple(gens))
 
 
 # -- serialization --

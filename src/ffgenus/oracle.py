@@ -13,9 +13,11 @@ FqPoly division, product or gcd runs. t0_root_degrees scans splitting fields
 of up to MAX_ENUM elements with element arithmetic. The one exception is
 enumerate_F, the reference for the subgroup algebra of genus.find_F: it
 walks the whole subfield lattice but runs the split test at infinity and
-writes generators with the genus module's own helpers. The caps fail
-loudly instead of degrading, so a sweep that ran is a sweep that covered
-what it claims.
+writes generators with the genus module's own helpers. prime_power_case
+is a reference of another kind: the closed-form formulas for prime-power
+Kummer degree, which build_F0's lcm over places must match. The caps
+fail loudly instead of degrading, so a sweep that ran is a sweep that
+covered what it claims.
 """
 
 from __future__ import annotations
@@ -26,15 +28,25 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .carlitz import carlitz_action
-from .ffpoly import DomainError, Factorization, FqPoly, is_eth_power, power_exceeds
+from .ffpoly import (
+    DomainError,
+    Factorization,
+    FqPoly,
+    factor_int,
+    is_eth_power,
+    power_exceeds,
+    render_poly,
+)
 from .genus import (
     _bound_only,
     _infinity_residue_data,
+    _radical_gen,
     _reduce_generator,
     _root_splits,
     _sign,
     field_expr,
 )
+from .ramify import p_adic_val
 
 MAX_ENUM = 1 << 20
 MAX_ORACLE_Q = 81  # largest base field (or residue field) an oracle tabulates
@@ -442,3 +454,54 @@ def enumerate_F(profile, comps):
         raise AssertionError("the greedy generators do not span the split subgroup")
     F = field_expr(q, gens, 1)
     return comps._replace(cprime_exact=cprime, F=F)
+
+
+# -- closed-form families --
+
+
+class PrimePowerProfile(namedtuple(
+        "PrimePowerProfile",
+        "l nu a dprime d delta m e_inf c_inf cprime_bound t0 geometric gens")):
+    """Closed-form data for K = k((gamma*D)^(1/l^nu)) with l^nu | q - 1.
+
+    a holds v_l(alpha_i) per prime factor of D and dprime the valuations
+    v_l(deg P_i); d = min(nu, v_l(deg D)) and delta = min over places of
+    min(nu, a_i + dprime_i), so e_inf = l^(nu-d) and c_inf = l^(nu-delta),
+    with c'_inf dividing their gcd l^(nu-d). t0 = l^m where m is minimal
+    with (-1)^{deg D} gamma an l^d-th power of F_{q^{l^m}}.
+    """
+
+    __slots__ = ()
+
+
+def prime_power_case(K):
+    """Evaluate the closed-form formulas for prime-power Kummer degree."""
+    if K.s != 1:
+        raise DomainError("prime power analysis needs base constants s = 1")
+    q = K.ctx.q
+    if (q - 1) % K.n != 0:
+        raise DomainError(f"need n = {K.n} | q - 1")
+    ls = factor_int(K.n)
+    if len(ls) != 1:
+        raise DomainError(f"n = {K.n} is not a prime power")
+    ((l, nu),) = ls.items()
+    fac = K.D_factors.factors
+    if not fac:
+        raise DomainError("D must have at least one prime factor")
+    a = tuple(p_adic_val(l, alpha) for _, alpha in fac)
+    dprime = tuple(p_adic_val(l, P.degree) for P, _ in fac)
+    d = min(nu, p_adic_val(l, K.D.degree))
+    delta = min(min(nu, ai + dpi) for ai, dpi in zip(a, dprime))
+    beta = _sign(K.ctx, K.D.degree) * K.gamma
+    m = 0
+    while not is_eth_power(beta, l ** d, l ** m):
+        m += 1
+        if m > d:  # the l^d-th roots of beta lie in F_{q^(l^d)}
+            raise AssertionError(f"t0 exponent m = {m} exceeds d = {d}")
+    gens = [_radical_gen(l ** (nu - ai), _sign(K.ctx, P.degree), render_poly(P))
+            for (P, _), ai in zip(fac, a)]
+    return PrimePowerProfile(
+        l=l, nu=nu, a=a, dprime=dprime, d=d, delta=delta, m=m,
+        e_inf=l ** (nu - d), c_inf=l ** (nu - delta),
+        cprime_bound=l ** (nu - d), t0=l ** m, geometric=0 in a,
+        gens=tuple(gens))

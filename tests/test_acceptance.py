@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ffgenus.carlitz import euler_phi
 from ffgenus.ffpoly import (
@@ -25,19 +25,20 @@ from ffgenus.genus import (
     build_F0,
     estar_interval,
     genus_report,
-    prime_degree_case,
-    prime_power_case,
+    genus_report_abstract,
     report_json,
 )
 from ffgenus.oracle import (
     SWEEP_SEED,
     carlitz_compose_check,
     naive_factor,
+    prime_power_case,
     t0_root_degrees,
     unit_count,
 )
 from ffgenus.ramify import (
     build_profile,
+    profile_from_dict,
     radical_extension,
     t0_radical,
 )
@@ -140,12 +141,26 @@ def test_criterion_3_example_base_constants_regression():
 
 
 def test_criterion_4_prime_degree_table():
+    # K/k cyclic of prime degree l, l prime to q(q-1), ramified at t places of
+    # degree f = ord_l(q), so that c_P = l; infinity is tame and unramified, and
+    # F_q* has no image in Z/l, so c_inf = 1 and every report is exact. The genus
+    # field has degree l^(t-1) over K with t0 = 1 when infinity splits in K (K in
+    # the split-at-infinity cyclotomic tower), and l^t with t0 = l when it is inert.
     for q in (3, 5):
         for l in (7, 11):
+            f = next(f for f in range(1, l) if pow(q, f, l) == 1)
             for t in range(1, 5):
-                assert prime_degree_case(q, l, t, True) == (l ** (t - 1), 1)
-                assert prime_degree_case(q, l, t, False) == (l ** t, l)
-    print("criterion 4 PASS: prime-degree table for l in {7,11}, t <= 4")
+                finite = [{"deg": f, "e": [l]}] * t
+                for infinity, t0, degree in (([{"e": 1, "t": 1}] * l, 1, l ** (t - 1)),
+                                             ([{"e": 1, "t": l}], l, l ** t)):
+                    r = genus_report_abstract(profile_from_dict(
+                        {"q": q, "finite": finite, "infinity": infinity}))
+                    assert r.exact and r.t0 == t0, (q, l, t, t0)
+                    field = r.exact_field
+                    assert prod(g.degree for g in field.cyclo) * field.constants_deg \
+                        == l * degree, (q, l, t, t0)
+    print("criterion 4 PASS: prime-degree table for l in {7,11}, t <= 4, "
+          "from abstract profiles")
 
 
 def test_criterion_5_oracle_equivalences():

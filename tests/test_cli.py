@@ -4,12 +4,14 @@ Exit codes and byte stability are asserted black-box through subprocesses;
 content checks run in-process for speed.
 """
 
+import ast
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -215,6 +217,30 @@ def test_profile_file_runs_abstract_path(capsys, tmp_path):
     code, out = run_main(capsys, ["genus", "--profile", str(path)])
     assert code == 0
     assert "EXACT [F_equals_F0]: K_ge = K * k(cyclo[place deg 2; deg 2])" in out
+    # two places of equal degree and c_P are two cyclic degree-7 fields, and F_0,
+    # of degree 49, names both, in text and with one JSON entry per place
+    path = str(DATA / "profile-3-two-deg6.json")
+    code, out = run_main(capsys, ["genus", "--profile", path])
+    assert code == 0
+    two = "k(cyclo[place deg 6; deg 7], cyclo[place deg 6; deg 7])"
+    assert out == f"""\
+place <place of degree 6>: e = 7, c = 7
+place <place of degree 6>: e = 7, c = 7
+infinity: e_inf = 1, c_inf = 1, c'_inf = 1 (divides 1)
+t0 = 1
+F0 = {two}
+F  = {two}
+lower: K * {two}
+upper: K * {two}
+EXACT [F_equals_F0]: K_ge = K * {two}
+"""
+    code, out = run_main(capsys, ["genus", "--profile", path, "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    place = {"cyclo": None, "place_deg": 6, "degree": 7}
+    for field in (data["lower"], data["upper"], data["exact_field"],
+                  data["infinity"]["F0"], data["infinity"]["F"]):
+        assert field["cyclo"] == [place, place]
 
 
 def test_profile_conflicts_and_errors(capsys, tmp_path):
@@ -513,27 +539,35 @@ def test_analyze_json_loads_back_as_a_profile(capsys, tmp_path):
         path.write_text(out)
         assert main(["genus", "--profile", str(path)]) == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+        # one generator per place: the degrees of the abstract F_0 multiply to prod c_P
+        assert main(["genus", "--profile", str(path), "--format", "json"]) == 0, argv
+        F0 = json.loads(capsys.readouterr().out)["infinity"]["F0"]
+        assert F0["radicals"] == [], argv
+        assert prod(g["degree"] for g in F0.get("cyclo", [])) == prod(
+            gcd(pl["e_P"], payload["q"] ** pl["deg"] - 1) for pl in payload["finite"]), argv
         valid += 1
         past_64 += max(t for _, t in prof.infinity) > 64
     assert past_64 >= 20
 
 
-GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDENS = json.loads((DATA / "cli_goldens.json").read_text())
 
 
 def _golden_ids(cases):
-    """command-field[-json][-sS], with the fourth argument appended where that
-    repeats an earlier id."""
+    """command-field[-json][-sS], or command-profile[-json] for a profile file
+    profile.json, with the fourth argument appended where that repeats an
+    earlier id."""
     ids = []
     for argv in (case["argv"] for case in cases):
-        gid = f"{argv[0]}-{argv[2]}" + ("-json" if "json" in argv else "")
+        gid = f"{argv[0]}-{argv[2].removesuffix('.json')}" + ("-json" if "json" in argv else "")
         if "--base-constants" in argv:
             gid += f"-s{argv[argv.index('--base-constants') + 1]}"
         ids.append(f"{gid}-{argv[4]}" if gid in ids else gid)
     return ids
 
 
-WORK_COUNTS = Path(__file__).parent / "data" / "work_counts.json"
+WORK_COUNTS = DATA / "work_counts.json"
 WORK_TABLE = json.loads(WORK_COUNTS.read_text())
 COUNTED_FUNCTIONS = ("powmod", "factor", "make_context", "is_eth_power")
 COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "extension"))
@@ -542,11 +576,12 @@ COUNTED_METHODS = (("FqPoly", "__mul__"), ("FqPoly", "divrem"), ("FqContext", "e
 def counted_run(argv):
     """main(argv) run as one fresh CLI call: (exit code, {counted name: calls}).
 
-    The run starts from an empty context cache and empty oracle field tables, so
-    its counts include context construction and do not depend on what ran
-    before in the same process. Every binding of a counted function in an
-    ffgenus module and every counted method is replaced by a counter, as the
-    benchmark's tracer does, and restored when the run ends.
+    A --profile file is looked up in tests/data. The run starts from an
+    empty context cache and empty oracle field tables, so its counts include
+    context construction and do not depend on what ran before in the same
+    process. Every binding of a counted function in an ffgenus module and
+    every counted method is replaced by a counter, as the benchmark's tracer
+    does, and restored when the run ends.
     """
     names = [f"{cls}.{name}" for cls, name in COUNTED_METHODS] + list(COUNTED_FUNCTIONS)
     calls = dict.fromkeys(names, 0)
@@ -570,7 +605,8 @@ def counted_run(argv):
             mp.setattr(owner, name, counting(f"{cls}.{name}", getattr(owner, name)))
         mp.setattr(ffpoly, "_CTX_CACHE", {})
         oracle._field.cache_clear()
-        code = main(argv)
+        code = main([str(DATA / arg) if flag == "--profile" else arg
+                     for flag, arg in zip([None] + argv, argv)])
     return code, calls
 
 
@@ -582,11 +618,16 @@ def test_cli_golden_output(capsys, case, request):
     recursion, and analyze in text and JSON for two K with constant field
     F_{q^2} (gcd(n, alpha_1, ...) = 2), captured when geometric became
     exact, and the reducible radicand that base constants F_9 make of
-    2T^2 (exit 1): stdout and stderr must match byte for byte, and the
-    kernel calls of the run, from empty caches, must match the case's row
-    of tests/data/work_counts.json. A change that alters the calls
-    regenerates that row and says which rows moved and why; the counts do
-    not depend on PYTHONHASHSEED or on python -O."""
+    2T^2 (exit 1); then one genus report per branch, in text and JSON: the
+    F_37 CONJECTURE, F undetermined, constants_collapse, a cyclo[...]
+    generator with and without base constants, and three --profile files
+    (two places of equal degree with infinity split and inert, and a wild
+    profile with F undetermined); oracle-verify with its splitting check,
+    and a usage error (exit 2). stdout and stderr must match byte for byte,
+    and the kernel calls of the run, from empty caches, must match the
+    case's row of tests/data/work_counts.json. A change that alters the
+    calls regenerates that row and says which rows moved and why; the counts
+    do not depend on PYTHONHASHSEED or on python -O."""
     code, calls = counted_run(case["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["code"], case["stdout"], case.get("stderr", ""))
@@ -608,6 +649,70 @@ def test_golden_work_counts_match_the_pinned_table():
     are pinned in tests/data/work_counts.json beside the goldens' rows."""
     for row, argv in WORK_ROWS.items():
         assert counted_run(argv)[1] == WORK_TABLE[row], row
+
+
+# -- the functions the goldens reach --
+
+REACH = DATA / "golden_reach.json"
+REACH_MODULES = ("genus", "ramify", "cli")
+# the functions of REACH_MODULES that no golden calls, and why
+UNREACHED = {
+    "genus.estar_interval": "no command prints it; the tests and the benchmark call it "
+                            "(ROADMAP item 23)",
+}
+
+
+def _defined_functions(module):
+    """(file, {first line: qualified name}) of each def in ffgenus.<module>.
+
+    The first line is that of the first decorator of a decorated def, as in
+    its code object's co_firstlineno; the name is module.Class.method or
+    module.outer.<locals>.inner, as __qualname__ spells it.
+    """
+    path = sys.modules[f"ffgenus.{module}"].__file__
+    found = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found[min([d.lineno for d in child.decorator_list] + [child.lineno])] = (
+                    prefix + child.name)
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, prefix)
+
+    with open(path, encoding="utf-8") as fh:
+        walk(ast.parse(fh.read()), f"{module}.")
+    return path, found
+
+
+def _reach_recorder(reached):
+    """A sys.setprofile hook that adds to reached the name of each function
+    of REACH_MODULES that is called."""
+    names = {(path, line): name for path, found in map(_defined_functions, REACH_MODULES)
+             for line, name in found.items()}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = names.get((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            if name is not None:
+                reached.add(name)
+    return hook
+
+
+def test_goldens_reach_every_report_function():
+    """Each function of genus, ramify and cli is called by some golden, or is
+    named in UNREACHED with its reason. tests/data/golden_reach.json holds the
+    names that the goldens reach; `PYTHONPATH=src python tests/test_cli.py`
+    records it, and a renamed or deleted function shows up here as stale."""
+    reached = set(json.loads(REACH.read_text()))
+    defined = {name for module in REACH_MODULES
+               for name in _defined_functions(module)[1].values()}
+    assert sorted(defined - reached - UNREACHED.keys()) == []
+    assert sorted(reached & UNREACHED.keys()) == []
+    assert sorted(reached - defined) == []
 
 
 @pytest.mark.parametrize("field", ["16", "27", "32", "49"])
@@ -709,13 +814,19 @@ def test_fuzzed_argv_keeps_the_cli_contract(tmp_path, argv, profile):
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_cli.py rewrites tests/data/work_counts.json:
-    # one fresh counted run per golden, then per WORK_ROWS input
+    # PYTHONPATH=src python tests/test_cli.py rewrites tests/data/work_counts.json,
+    # one fresh counted run per golden, then per WORK_ROWS input, and
+    # tests/data/golden_reach.json, the functions of REACH_MODULES the goldens call
     import contextlib
     import io
 
-    argvs = {**dict(zip(_golden_ids(GOLDENS), (case["argv"] for case in GOLDENS))), **WORK_ROWS}
+    goldens = dict(zip(_golden_ids(GOLDENS), (case["argv"] for case in GOLDENS)))
+    reached = set()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        table = {row: counted_run(argv)[1] for row, argv in argvs.items()}
+        sys.setprofile(_reach_recorder(reached))
+        table = {row: counted_run(argv)[1] for row, argv in goldens.items()}
+        sys.setprofile(None)
+        table.update((row, counted_run(argv)[1]) for row, argv in WORK_ROWS.items())
     WORK_COUNTS.write_text("{\n" + ",\n".join(f" {json.dumps(row)}: {json.dumps(calls)}"
                                                for row, calls in table.items()) + "\n}\n")
+    REACH.write_text(json.dumps(sorted(reached), indent=1) + "\n")

@@ -39,13 +39,11 @@ from ffgenus.genus import (
     find_F,
     genus_report,
     genus_report_abstract,
-    prime_degree_case,
-    prime_power_case,
     report_json,
     render_report,
     wild_bounds,
 )
-from ffgenus.oracle import enumerate_F, splitting_at_finite
+from ffgenus.oracle import enumerate_F, prime_power_case, splitting_at_finite
 from ffgenus.ramify import (
     build_profile, profile_from_dict, radical_extension, ram_finite, t0_radical)
 
@@ -978,57 +976,6 @@ def test_abstract_lower_constants_use_prime_to_p_part():
 
 
 # -- closed-form families --
-
-
-def test_prime_degree_case_table():
-    assert prime_degree_case(3, 7, 1, True) == (1, 1)
-    assert prime_degree_case(3, 7, 3, True) == (49, 1)
-    assert prime_degree_case(3, 7, 3, False) == (343, 7)
-    assert prime_degree_case(4, 11, 2, False) == (121, 11)
-    assert prime_degree_case(9, 11, 2, True) == (11, 1)
-
-
-def test_prime_degree_case_rejections():
-    for args in [(3, 7, 0, True), (3, 3, 2, True), (3, 2, 2, True),
-                 (6, 7, 2, True), (11, 5, 2, True), (3, 4, 2, True),
-                 (2 ** 17, 7, 2, True), (3, 65537, 2, True), (3, 2 ** 61 - 1, 2, True),
-                 (2, 7, 10 ** 8, False)]:
-        with pytest.raises(DomainError):
-            prime_degree_case(*args)
-    assert prime_degree_case(2, 7, 64, False) == (7 ** 64, 7)
-
-
-def test_prime_power_case_square_root_of_minus_T():
-    K = K_of(5, 1, 2, 4, "T")
-    pp = prime_power_case(K)
-    assert (pp.l, pp.nu, pp.a, pp.dprime) == (2, 1, (0,), (0,))
-    assert (pp.d, pp.delta, pp.m) == (0, 0, 0)
-    assert (pp.e_inf, pp.c_inf, pp.cprime_bound, pp.t0) == (2, 2, 2, 1)
-    assert pp.geometric
-    (g,) = pp.gens
-    assert (g.e, g.sign, g.poly) == (2, -1, "T")
-    r = genus_report(K)
-    assert r.exact and r.components.cprime_exact == 2
-    # over F_5 the lattice rewrites sqrt(-T) as sqrt(T)
-    assert r.components.F.render() == "k((T)^(1/2))"
-
-
-def test_prime_power_case_matches_quadratic_component():
-    pp = prime_power_case(K_of(3, 1, 2, 1, "T^2+2*T+2"))
-    assert (pp.d, pp.delta, pp.m) == (1, 1, 0)
-    assert (pp.e_inf, pp.c_inf, pp.t0) == (1, 1, 1)
-    assert pp.geometric
-    (g,) = pp.gens
-    assert (g.e, g.sign, g.poly) == (2, 1, "T^2 + 2*T + 2")
-
-
-def test_prime_power_case_rejections():
-    with pytest.raises(DomainError):
-        prime_power_case(K_of(5, 1, 2, 1, "T", s=2))
-    with pytest.raises(DomainError):
-        prime_power_case(K_of(5, 1, 6, 1, "T"))
-    with pytest.raises(DomainError):
-        prime_power_case(K_of(3, 1, 4, 1, "T"))
 
 
 def test_prime_power_random_consistency():

@@ -21,12 +21,14 @@ from ffgenus.ffpoly import (
     parse_poly,
     render_poly,
 )
+from ffgenus.genus import genus_report
 from ffgenus.oracle import (
     MAX_ORACLE_Q,
     SWEEP_SEED,
     _field,
     carlitz_compose_check,
     naive_factor,
+    prime_power_case,
     splitting_at_finite,
     t0_root_degrees,
     unit_count,
@@ -390,3 +392,39 @@ def test_table_oracles_need_no_polynomial_division(monkeypatch):
         products.clear()
         assert carlitz_compose_check(M, N), (M, N)
         assert len(products) <= 1
+
+
+# -- closed-form families --
+
+
+def test_prime_power_case_square_root_of_minus_T():
+    K = K_of(C5, 2, 4, "T")
+    pp = prime_power_case(K)
+    assert (pp.l, pp.nu, pp.a, pp.dprime) == (2, 1, (0,), (0,))
+    assert (pp.d, pp.delta, pp.m) == (0, 0, 0)
+    assert (pp.e_inf, pp.c_inf, pp.cprime_bound, pp.t0) == (2, 2, 2, 1)
+    assert pp.geometric
+    (g,) = pp.gens
+    assert (g.e, g.sign, g.poly) == (2, -1, "T")
+    r = genus_report(K)
+    assert r.exact and r.components.cprime_exact == 2
+    # over F_5 the lattice rewrites sqrt(-T) as sqrt(T)
+    assert r.components.F.render() == "k((T)^(1/2))"
+
+
+def test_prime_power_case_matches_quadratic_component():
+    pp = prime_power_case(K_of(C3, 2, 1, "T^2+2*T+2"))
+    assert (pp.d, pp.delta, pp.m) == (1, 1, 0)
+    assert (pp.e_inf, pp.c_inf, pp.t0) == (1, 1, 1)
+    assert pp.geometric
+    (g,) = pp.gens
+    assert (g.e, g.sign, g.poly) == (2, 1, "T^2 + 2*T + 2")
+
+
+def test_prime_power_case_rejections():
+    with pytest.raises(DomainError):
+        prime_power_case(K_of(C5, 2, 1, "T", s=2))
+    with pytest.raises(DomainError):
+        prime_power_case(K_of(C5, 6, 1, "T"))
+    with pytest.raises(DomainError):
+        prime_power_case(K_of(C3, 4, 1, "T"))
