@@ -8,12 +8,13 @@ subfield F, and the constant degree t_0) determine a sandwich
 
     K * F * F_{q^{t_0}}  <=  K_ge  <=  K * F_0 * F_{q^u}
 
-for the genus field K_ge of a radical extension K = k((gamma*D)^(1/n)).
-This module assembles those components, decides the sandwich exactly when
-one of three certificates applies (F = F_0, abelian K/k, or collapse of
-F_0 into K times constants), and otherwise reports certified bounds. The
-same machinery runs on abstract ramification profiles, where only the
-bound form is available.
+for the genus field K_ge of K/k. A report is a function of the
+ramification profile of K: this module assembles those components,
+decides the sandwich exactly when a certificate applies, and otherwise
+reports certified bounds. F = F_0 with everything tame certifies any
+profile; a radical model K = k((gamma*D)^(1/n)) lets find_F determine F
+and adds the certificates abelian K/k and collapse of F_0 into K times
+constants.
 
 Field expressions are symbolic: sorted radical/cyclotomic/opaque generator
 lists plus a constants degree, so equality is decidable by comparison.
@@ -219,15 +220,15 @@ class PlaceComponent(namedtuple("PlaceComponent", "poly deg e_P e0 u_P c_P e_inf
 
 class GenusComponents(namedtuple(
         "GenusComponents",
-        "q places c_inf e_inf cprime_bound F0 F0_plus_deg cprime_exact F u_status")):
+        "q places c_inf e_inf cprime_bound F0 F0_plus_deg cprime_exact F")):
     """F_0 = product of the F_P, with its infinite-prime bookkeeping.
 
     c_inf = lcm of the per-place e_inf_FP (the ramification of the infinite
     prime in F_0/k) and equals [F_0 : F_0 meet R+] where R+ is the maximal
     totally split-at-infinity cyclotomic piece; F0_plus_deg is the degree
-    of that intersection. cprime_exact and F are filled by find_F when every
-    c_P is Kummer (divides q - 1) or the bound alone pins them, and u_status
-    records whether the upper constant exponent was pinned to t_0.
+    of that intersection. cprime_exact and F are filled by find_F when the
+    profile has a radical model and every c_P is Kummer (divides q - 1), or
+    when the bound alone pins them.
     """
 
     __slots__ = ()
@@ -265,8 +266,7 @@ def build_F0(profile):
     return GenusComponents(
         q=q, places=tuple(places), c_inf=c_inf, e_inf=profile.e_inf,
         cprime_bound=gcd(c_inf, profile.e_inf), F0=field_expr(q, gens, 1),
-        F0_plus_deg=total // c_inf, cprime_exact=None, F=None,
-        u_status="bounded_unknown")
+        F0_plus_deg=total // c_inf, cprime_exact=None, F=None)
 
 
 # -- splitting of infinite primes in Kummer composites --
@@ -386,13 +386,12 @@ def find_F(profile, comps):
     w_i = deg P_i * N'/c_i, and the splitting classes form a subgroup hZ/N'.
     So F is the field of {x : sum w_i x_i = 0 mod h}, F_0 meet R+ that of
     the same congruence mod N', and c'_inf = N'/lcm(h, gcd(N', w)) is the
-    index between them. Returns _bound_only(comps) when c_inf = 1 or some
-    c_P is not Kummer-accessible.
+    index between them. Returns _bound_only(comps) when the profile has no
+    radical model, c_inf = 1 or some c_P is not Kummer-accessible.
     """
-    K = profile.radical
-    q = K.ctx.q
+    K, q = profile.radical, profile.q
     ram = [pl for pl in comps.places if pl.c_P > 1]
-    if comps.c_inf == 1 or any((q - 1) % pl.c_P != 0 for pl in ram):
+    if K is None or comps.c_inf == 1 or any((q - 1) % pl.c_P != 0 for pl in ram):
         return _bound_only(comps)
     Ps = [pl.P for pl in ram]
     cs = [pl.c_P for pl in ram]
@@ -500,10 +499,11 @@ class GenusReport(namedtuple(
     lower and upper always hold; exact_field is set (and equals lower) when
     one of the certificates applies, with exactness_reason naming it:
     "F_equals_F0", "abelian_tame", or "constants_collapse". conjectural is
-    the expected value K * F * F_{q^{t_0}} whenever F is determined. All
-    expressions include the defining generator of K itself; for base
-    constants s > 1 the extension F_{q^s} of K is subsumed by the
-    constants degree of the expression (s divides t_0).
+    the expected value K * F * F_{q^{t_0}} when the profile has a radical
+    model and F is determined. All expressions include a generator of K
+    itself: its radical, or the opaque name K; for base constants s > 1 the
+    extension F_{q^s} of K is subsumed by the constants degree of the
+    expression (s divides t_0).
     """
 
     __slots__ = ()
@@ -532,71 +532,50 @@ def _constants_collapse(K, comps):
     return True
 
 
-def _sandwich(comps, k_gen, exact, t_lower):
-    """(comps, lower, upper, exact_field) of a report whose K has generator k_gen.
+def genus_report(K):
+    """Full genus-field report of a radical extension."""
+    return genus_report_abstract(build_profile(K))
 
-    lower is K * F * F_{q^t_lower}, with the split part F_0 meet R+ named
-    by its degree when F is undetermined; upper is K * F_0 * F_{q^u}. An
-    exact sandwich collapses onto lower and pins u to t_0.
+
+def genus_report_abstract(profile):
+    """Sandwich report of a ramification profile, radical or abstract.
+
+    lower is K * F * F_{q^{t_0}}, with the split part F_0 meet R+ named by
+    its degree while F is undetermined; upper is K * F_0 * F_{q^u}. An exact
+    report collapses onto lower. An abstract, inexact lower bound takes only
+    the prime-to-p part of t_0.
     """
+    K = profile.radical
+    comps = find_F(profile, build_F0(profile))
+    wild = wild_bounds(profile)
+    t0 = profile.t0
+
+    reason = None
+    if (comps.F is not None and comps.cprime_exact == comps.c_inf
+            and wild.tame_case_constants_only):
+        reason = "F_equals_F0"
+    elif K is not None and comps.F is not None and (profile.q - 1) % K.n == 0:
+        reason = "abelian_tame"
+    elif K is not None and _constants_collapse(K, comps):
+        reason = "constants_collapse"
+    exact = reason is not None
+
+    k_gen = OpaqueGen("K", None) if K is None else _radical_gen(K.n, K.gamma, render_poly(K.D))
+    t_lower = t0 if K is not None or exact else t0 // profile.p ** p_adic_val(profile.p, t0)
     if comps.F is not None:
         split = comps.F.radicals + comps.F.cyclo
     elif comps.F0_plus_deg > 1:
         split = (OpaqueGen("F0_cap_Rplus", comps.F0_plus_deg),)
     else:
         split = ()
-    lower = field_expr(comps.q, (k_gen,) + split, t_lower)
-    if exact:
-        return comps._replace(u_status="equals_t0"), lower, lower, lower
-    upper = field_expr(comps.q, (k_gen,) + comps.F0.radicals + comps.F0.cyclo, None)
-    return comps, lower, upper, None
-
-
-def genus_report(K):
-    """Full genus-field report of a radical extension."""
-    profile = build_profile(K)
-    comps = find_F(profile, build_F0(profile))
-    wild = wild_bounds(profile)
-    q, t0 = profile.q, profile.t0
-    k_gen = _radical_gen(K.n, K.gamma, render_poly(K.D))
-
-    exact, reason = False, None
-    if comps.F is not None and comps.cprime_exact == comps.c_inf:
-        exact, reason = True, "F_equals_F0"
-    elif comps.F is not None and (q - 1) % K.n == 0:
-        exact, reason = True, "abelian_tame"
-    elif _constants_collapse(K, comps):
-        exact, reason = True, "constants_collapse"
-
-    comps, lower, upper, exact_field = _sandwich(comps, k_gen, exact, t0)
-    conjectural = lower if (comps.F is not None or exact) else None
+    lower = field_expr(profile.q, (k_gen,) + split, t_lower)
+    upper = lower if exact else field_expr(
+        profile.q, (k_gen,) + comps.F0.radicals + comps.F0.cyclo, None)
+    conjectural = lower if K is not None and (comps.F is not None or exact) else None
     return GenusReport(profile=profile, components=comps, wild=wild, t0=t0,
                        lower=lower, upper=upper, exact=exact,
-                       exact_field=exact_field, conjectural=conjectural,
+                       exact_field=lower if exact else None, conjectural=conjectural,
                        exactness_reason=reason)
-
-
-def genus_report_abstract(profile):
-    """Sandwich report from ramification data alone (no radical model).
-
-    The lower bound composes K with the split part F_0 meet R+ and the
-    prime-to-p part of t_0; the upper with all of F_0 and an undetermined
-    constants degree. When c_inf = 1 the split part is all of F_0, and if
-    additionally everything is tame the sandwich collapses and the tame
-    genus field K * F_0 * F_{q^{t_0}} is exact.
-    """
-    comps = build_F0(profile)
-    wild = wild_bounds(profile)
-    t0 = profile.t0
-    t0_tame = t0 // profile.p ** p_adic_val(profile.p, t0)
-    comps = _bound_only(comps)
-    exact = comps.c_inf == 1 and wild.tame_case_constants_only
-    comps, lower, upper, exact_field = _sandwich(
-        comps, OpaqueGen("K", None), exact, t0 if exact else t0_tame)
-    return GenusReport(profile=profile, components=comps, wild=wild, t0=t0,
-                       lower=lower, upper=upper, exact=exact,
-                       exact_field=exact_field, conjectural=None,
-                       exactness_reason="F_equals_F0" if exact else None)
 
 
 # -- serialization --
@@ -626,7 +605,7 @@ def report_json(report):
             "F": opt(comps.F),
             "F0": opt(comps.F0),
             "F0_plus_deg": comps.F0_plus_deg,
-            "u_status": comps.u_status,
+            "u_status": "equals_t0" if report.exact else "bounded_unknown",
             "exactness_reason": report.exactness_reason,
         },
     }

@@ -541,10 +541,22 @@ def test_analyze_json_loads_back_as_a_profile(capsys, tmp_path):
         capsys.readouterr()
         # one generator per place: the degrees of the abstract F_0 multiply to prod c_P
         assert main(["genus", "--profile", str(path), "--format", "json"]) == 0, argv
-        F0 = json.loads(capsys.readouterr().out)["infinity"]["F0"]
+        abstract = json.loads(capsys.readouterr().out)
+        F0 = abstract["infinity"]["F0"]
         assert F0["radicals"] == [], argv
         assert prod(g["degree"] for g in F0.get("cyclo", [])) == prod(
             gcd(pl["e_P"], payload["q"] ** pl["deg"] - 1) for pl in payload["finite"]), argv
+        # the radical report reads the same ramification data, and certifies at least as much
+        assert main(["genus"] + argv[1:]) == 0, argv
+        radical = json.loads(capsys.readouterr().out)
+        for r in (abstract, radical):
+            r["components"] = sorted((pl["deg"], pl["e"], pl["c"]) for pl in r["components"])
+            r.update((key, r["infinity"][key])
+                     for key in ("e_inf", "c_inf", "cprime_bound", "F0_plus_deg"))
+        keys = ("t0", "e_inf", "c_inf", "cprime_bound", "F0_plus_deg", "components")
+        assert [abstract[key] for key in keys] == [radical[key] for key in keys], argv
+        if abstract["exact"]:
+            assert radical["infinity"]["exactness_reason"] == "F_equals_F0", argv
         valid += 1
         past_64 += max(t for _, t in prof.infinity) > 64
     assert past_64 >= 20

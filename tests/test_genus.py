@@ -122,7 +122,6 @@ def test_build_F0_single_cubic_prime():
     assert (comps.c_inf, comps.e_inf, comps.cprime_bound) == (2, 2, 2)
     assert comps.F0_plus_deg == 1
     assert comps.cprime_exact is None and comps.F is None
-    assert comps.u_status == "bounded_unknown"
 
 
 def test_build_F0_two_primes_tenth_root():
@@ -681,7 +680,7 @@ def test_report_quadratic_example_exact():
     assert r.exact and r.exactness_reason == "abelian_tame"
     assert r.exact_field == r.lower == r.upper
     assert r.exact_field.render() == "k((T^3 + 2*T + 1)^(1/2))"
-    assert r.t0 == 1 and r.components.u_status == "equals_t0"
+    assert r.t0 == 1 and report_json(r)["infinity"]["u_status"] == "equals_t0"
     assert json.dumps(r.lower.json()) == (
         '{"radicals": [{"e": 2, "sign": 1, "poly": "T^3 + 2*T + 1"}], '
         '"constants_deg": 1}')
@@ -790,7 +789,7 @@ def test_report_bounds_with_conjecture():
     # q=3, fourth root of T*(T+1)^2: no certificate applies
     r = genus_report(K_of(3, 1, 4, 1, "T^3+2*T^2+T"))
     assert not r.exact and r.exact_field is None and r.exactness_reason is None
-    assert r.components.u_status == "bounded_unknown"
+    assert report_json(r)["infinity"]["u_status"] == "bounded_unknown"
     assert r.conjectural == r.lower
     assert r.lower.render() == "k((T^2 + T)^(1/2), (T^3 + 2*T^2 + T)^(1/4))"
     assert r.upper.constants_deg is None
@@ -964,6 +963,15 @@ def test_abstract_wild_profile_reports_bounds():
     text = render_report(r)
     assert "CONJECTURE: unavailable (abstract profile)" in text
     assert "wild bounds: finite <= 3 [deg 1: p^1], infinite component possible" in text
+    # c_inf = 1 and F = F_0 = k, but a wild place keeps the report from being exact
+    prof = profile_from_dict({"q": 3, "finite": [{"deg": 1, "e": [3]}],
+                              "infinity": [{"e": 1, "t": 1}]})
+    r = genus_report_abstract(prof)
+    assert r.components.c_inf == 1 and r.components.F == r.components.F0
+    assert not r.exact and r.exactness_reason is None and r.exact_field is None
+    assert render_report(r).splitlines()[-4:] == [
+        "lower: K", "upper: K * F_3^u (u unknown)",
+        "CONJECTURE: unavailable (abstract profile)", "wild bounds: finite <= 3 [deg 1: p^1]"]
 
 
 def test_abstract_lower_constants_use_prime_to_p_part():
